@@ -12,191 +12,20 @@ Monte Carlo experiments over this machinery, also reachable from the
 ``preqscore`` command-line tool.
 """
 
-from .densities import (
-    DensityWithDerivatives,
-    MonotoneTransform,
-    affine_transform,
-    cubic_plus_linear_transform,
-    gaussian_density,
-    laplace_density,
-    pushforward_density,
-    shift_density,
-    student_t_density,
-)
-from .errors import (
-    DimensionMismatch,
-    EmptyTrace,
-    HyvarinenInapplicable,
-    ImproperPredictive,
-    IndexOutOfRange,
-    InsufficientHistory,
-    InvalidDistribution,
-    NonMonotoneTransform,
-    NonPositiveScale,
-    NonPositiveVariance,
-    NonSPDCovariance,
-    NonStationary,
-    NotPositiveDefinite,
-    PreqscoreError,
-)
-from .experiments import (
-    Experiment,
-    ExperimentConfig,
-    ReplicationResult,
-    aggregates_for,
-    assertions_for,
-    expected_hyvarinen_delta,
-    expected_log_delta,
-    replicate_data,
-    replicate_trace,
-    run_consistency,
-    run_experiment,
-    run_mean_linkage,
-    run_multi_model,
-    run_outlier_locality,
-    run_reparametrisation,
-    run_unit_change,
-    run_variance_expectation,
-)
-from .models import (
-    PredictiveModel,
-    StudentTPredictive,
-    TransformedModel,
-    flat_prior_location_model,
-    flat_prior_scale_model,
-    iid_gaussian_model,
-    predictive_at,
-)
-from .prequential import (
-    TIE,
-    TRACE_CSV_COLUMNS,
-    DeltaTrace,
-    SelectionOutcome,
-    compensated_cumsum,
-    delta_trace,
-    select,
-    select_among,
-    trace_csv_text,
-    write_trace_csv,
-)
-from .scores import (
-    DecisionProblem,
-    GaussianPredictive,
-    ProprietyReport,
-    ProprietyViolation,
-    ScaledRule,
-    ScoreRule,
-    ScoreValue,
-    as_rule,
-    check_propriety,
-    hyvarinen_score_generic,
-    hyvarinen_score_gaussian,
-    hyvarinen_score_mvn,
-    log_score,
-    rescale_rule,
-    score_from_decision_problem,
-    score_predictive,
-)
-from .stationary import (
-    Ar1MarkovModel,
-    PredictionRecursionState,
-    StationaryProcessModel,
-    StationaryProcessSpec,
-    ar_process,
-    durbin_levinson,
-    ma_process,
-    process_model,
-    sample_path,
-    white_noise,
-)
-from .streams import stream
+from . import densities, errors, experiments, models, prequential, scores, stationary, streams
+from .densities import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .models import *  # noqa: F403
+from .prequential import *  # noqa: F403
+from .scores import *  # noqa: F403
+from .stationary import *  # noqa: F403
+from .streams import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DensityWithDerivatives",
-    "MonotoneTransform",
-    "affine_transform",
-    "cubic_plus_linear_transform",
-    "gaussian_density",
-    "laplace_density",
-    "pushforward_density",
-    "shift_density",
-    "student_t_density",
-    "DimensionMismatch",
-    "EmptyTrace",
-    "HyvarinenInapplicable",
-    "ImproperPredictive",
-    "IndexOutOfRange",
-    "InsufficientHistory",
-    "InvalidDistribution",
-    "NonMonotoneTransform",
-    "NonPositiveScale",
-    "NonPositiveVariance",
-    "NonSPDCovariance",
-    "NonStationary",
-    "NotPositiveDefinite",
-    "PreqscoreError",
-    "Experiment",
-    "ExperimentConfig",
-    "ReplicationResult",
-    "aggregates_for",
-    "assertions_for",
-    "expected_hyvarinen_delta",
-    "expected_log_delta",
-    "replicate_data",
-    "replicate_trace",
-    "run_consistency",
-    "run_experiment",
-    "run_mean_linkage",
-    "run_multi_model",
-    "run_outlier_locality",
-    "run_reparametrisation",
-    "run_unit_change",
-    "run_variance_expectation",
-    "PredictiveModel",
-    "StudentTPredictive",
-    "TransformedModel",
-    "flat_prior_location_model",
-    "flat_prior_scale_model",
-    "iid_gaussian_model",
-    "predictive_at",
-    "TIE",
-    "TRACE_CSV_COLUMNS",
-    "DeltaTrace",
-    "SelectionOutcome",
-    "compensated_cumsum",
-    "delta_trace",
-    "select",
-    "select_among",
-    "trace_csv_text",
-    "write_trace_csv",
-    "DecisionProblem",
-    "GaussianPredictive",
-    "ProprietyReport",
-    "ProprietyViolation",
-    "ScaledRule",
-    "ScoreRule",
-    "ScoreValue",
-    "as_rule",
-    "check_propriety",
-    "hyvarinen_score_generic",
-    "hyvarinen_score_gaussian",
-    "hyvarinen_score_mvn",
-    "log_score",
-    "rescale_rule",
-    "score_from_decision_problem",
-    "score_predictive",
-    "Ar1MarkovModel",
-    "PredictionRecursionState",
-    "StationaryProcessModel",
-    "StationaryProcessSpec",
-    "ar_process",
-    "durbin_levinson",
-    "ma_process",
-    "process_model",
-    "sample_path",
-    "white_noise",
-    "stream",
-    "__version__",
-]
+    name
+    for module in (densities, errors, experiments, models, prequential, scores, stationary, streams)
+    for name in module.__all__
+] + ["__version__"]

@@ -12,7 +12,8 @@ pure function of the arguments: rerunning a command reproduces every output
 file byte for byte.
 
 Exit codes: 0 all assertions pass, 1 at least one assertion fails,
-2 usage or configuration error.
+2 usage, configuration or data error, including non-finite data and scores
+that overflow.
 """
 
 from __future__ import annotations
@@ -20,13 +21,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import PreqscoreError
+from .errors import NonFiniteValue, PreqscoreError
 from .experiments import Experiment, ExperimentConfig, replicate_trace, run_experiment
 from .models import (
     PredictiveModel,
@@ -104,18 +106,22 @@ def read_data_csv(path) -> np.ndarray:
             if len(row) != 1:
                 raise ValueError(f"{path}:{lineno}: expected a single value per row, got {len(row)}")
             try:
-                values.append(float(row[0]))
+                value = float(row[0])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad number {row[0]!r}") from None
+            if not math.isfinite(value):
+                index = len(values) + 1
+                raise NonFiniteValue(f"{path}:{lineno}: observation {index} is {value!r}; data must be finite", index)
+            values.append(value)
     if not values:
         raise ValueError(f"{path}: no observations")
     return np.array(values)
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    # Encode first: a non-finite number fails before the file is touched.
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n")
 
 
 def _write_trace(path: Path, trace) -> None:
@@ -141,10 +147,11 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     result = run_experiment(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_trace(out / "trace.csv", replicate_trace(config, 0))
+    first = replicate_trace(config, 0)
+    _write_trace(out / "trace.csv", first)
     if args.keep_reps:
         for r in range(config.replicates):
-            _write_trace(out / f"rep_{r}.csv", replicate_trace(config, r))
+            _write_trace(out / f"rep_{r}.csv", first if r == 0 else replicate_trace(config, r))
     _write_json(
         out / "summary.json",
         {

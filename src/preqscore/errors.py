@@ -71,3 +71,17 @@ class IndexOutOfRange(PreqscoreError, ValueError):
 
 class NonMonotoneTransform(PreqscoreError, ValueError):
     """A state-space transform is not strictly increasing on the data range."""
+
+
+class NonFiniteValue(PreqscoreError, ValueError):
+    """An observation, or the score of one, is NaN or infinite.
+
+    ``index`` is the 1-based position of the offending observation.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        self.index = index
+        super().__init__(message)
+
+
+__all__ = [name for name, obj in list(globals().items()) if isinstance(obj, type) and issubclass(obj, PreqscoreError)]

@@ -15,9 +15,9 @@ so replicates may run in any order, or in parallel, without changing a bit
 of output.  Aggregates are reduced with ``math.fsum`` over records sorted by
 replicate index, making them independent of record order as well.
 
-The iid-normal experiments score whole replicates with vectorized closed
-forms; those expressions mirror the scalar ones in :mod:`preqscore.scores`
-operation for operation so both routes agree bitwise.
+The iid-normal experiments score whole replicates at once with the same
+score kernels that :mod:`preqscore.scores` applies to one observation at a
+time, so both routes agree bitwise.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .densities import (
-    DensityWithDerivatives,
     MonotoneTransform,
     cubic_plus_linear_transform,
     gaussian_density,
@@ -38,8 +37,8 @@ from .densities import (
 )
 from .errors import IndexOutOfRange, NonPositiveScale
 from .models import PredictiveModel, iid_gaussian_model
-from .prequential import TIE, DeltaTrace, delta_trace
-from .scores import ScoreRule
+from .prequential import TIE, DeltaTrace, _argmin, _choose, delta_trace
+from .scores import _DENSITY_KERNELS, _GAUSSIAN_KERNELS, ScoreRule
 from .stationary import Ar1MarkovModel
 from .streams import stream
 
@@ -61,9 +60,6 @@ __all__ = [
     "replicate_trace",
     "aggregates_for",
     "assertions_for",
-    "LINKAGE_MEANS",
-    "OUTLIER_AR_COEFFICIENTS",
-    "MULTI_MODEL_FACTORS",
 ]
 
 # Fixed scenario constants (documented knobs would multiply the config
@@ -122,6 +118,8 @@ class ExperimentConfig:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (isinstance(self.replicates, int) and self.replicates >= 1):
             raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not 0 <= self.base_seed < 2**64:
+            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
         if not self.xi > 0:
             raise ValueError(f"xi must be > 0, got {self.xi}")
         if not self.tau_q2 > 0:
@@ -202,28 +200,13 @@ def expected_hyvarinen_delta(xi: float, tau_q2: float) -> float:
     return (xi + 1.0 / xi - 2.0) / tau_q2
 
 
-# Vectorized Gaussian scores; operation order mirrors scores.log_score and
-# scores.hyvarinen_score_gaussian exactly.
-def _log_scores(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
-    return 0.5 * math.log(2.0 * math.pi * variance) + (x - mean) ** 2 / (2.0 * variance)
+def _delta(rule, x: np.ndarray, var_a: float, var_b: float, mean_a: float = 0.0, mean_b: float = 0.0) -> np.ndarray:
+    """Per-step score differences, model B minus model A, of two normal models.
 
-
-def _hyvarinen_scores(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
-    return -2.0 / variance + (x - mean) ** 2 / variance**2
-
-
-_VECTOR_SCORERS: dict[str, Callable[[np.ndarray, float, float], np.ndarray]] = {
-    ScoreRule.LOG.value: _log_scores,
-    ScoreRule.HYVARINEN.value: _hyvarinen_scores,
-}
-
-
-def _choice(d_n: float, cutoff: float, id_a: str, id_b: str) -> str:
-    if d_n > cutoff:
-        return id_a
-    if d_n < cutoff:
-        return id_b
-    return TIE
+    ``rule`` is a :class:`ScoreRule` or its value.
+    """
+    kernel = _GAUSSIAN_KERNELS[ScoreRule(rule)]
+    return kernel(x, mean_b, var_b) - kernel(x, mean_a, var_a)
 
 
 def _sorted_records(records: Sequence[dict]) -> list[dict]:
@@ -276,26 +259,24 @@ def _variance_pair(config: ExperimentConfig, scale: float = 1.0) -> tuple[Predic
     )
 
 
-def _linkage_pair(config: ExperimentConfig) -> tuple[PredictiveModel, PredictiveModel]:
-    mean_a, mean_b = LINKAGE_MEANS
-    return (
-        iid_gaussian_model(mean_a, config.tau_q2),
-        iid_gaussian_model(mean_b, config.tau_q2),
-    )
-
-
-def _outlier_pair(config: ExperimentConfig) -> tuple[PredictiveModel, PredictiveModel]:
-    if config.outlier_models == "ar1":
-        phi_a, phi_b = OUTLIER_AR_COEFFICIENTS
-        return (
-            Ar1MarkovModel(phi_a, config.tau_q2),
-            Ar1MarkovModel(phi_b, config.tau_q2),
-        )
-    return _variance_pair(config)
-
-
 def _multi_model_candidates(config: ExperimentConfig) -> list[PredictiveModel]:
     return [iid_gaussian_model(0.0, config.tau_q2 * f) for f in MULTI_MODEL_FACTORS]
+
+
+def _pair(config: ExperimentConfig) -> tuple[PredictiveModel, PredictiveModel]:
+    """The experiment's model pair; for the multi-candidate experiment, the
+    true model against the widest alternative."""
+    e = config.experiment
+    if e is Experiment.OUTLIER_LOCALITY and config.outlier_models == "ar1":
+        phi_a, phi_b = OUTLIER_AR_COEFFICIENTS
+        return Ar1MarkovModel(phi_a, config.tau_q2), Ar1MarkovModel(phi_b, config.tau_q2)
+    if e is Experiment.MEAN_LINKAGE:
+        mean_a, mean_b = LINKAGE_MEANS
+        return iid_gaussian_model(mean_a, config.tau_q2), iid_gaussian_model(mean_b, config.tau_q2)
+    if e is Experiment.MULTI_MODEL:
+        candidates = _multi_model_candidates(config)
+        return candidates[_MULTI_TRUE_INDEX], candidates[-1]
+    return _variance_pair(config)
 
 
 def _outlier_marginal_variance(config: ExperimentConfig) -> float:
@@ -352,20 +333,24 @@ def _inject_outlier(config: ExperimentConfig, x: np.ndarray) -> tuple[np.ndarray
 # --- runners ----------------------------------------------------------------
 
 
+def _replicates(config: ExperimentConfig):
+    """Yield each replicate's record, to be filled in by the runner, and its data."""
+    for r in range(config.replicates):
+        yield {"replicate": r, "seed": config.base_seed, "n": config.n}, replicate_data(config, r)
+
+
 def run_variance_expectation(config: ExperimentConfig) -> ReplicationResult:
     """Check per-step mean score differences against their closed forms."""
     _require(config, Experiment.VARIANCE_EXPECTATION)
     model_a, model_b = _variance_pair(config)
     records = []
-    for r in range(config.replicates):
-        x = replicate_data(config, r)
-        rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
-        for rule, scorer in _VECTOR_SCORERS.items():
-            delta = scorer(x, 0.0, config.tau_q2) - scorer(x, 0.0, config.tau_p2)
+    for rec, x in _replicates(config):
+        for rule in _RULE_KEYS:
+            delta = _delta(rule, x, config.tau_p2, config.tau_q2)
             d_n = math.fsum(delta)
             rec[f"d_n_{rule}"] = d_n
             rec[f"sum_sq_delta_{rule}"] = float(np.dot(delta, delta))
-            rec[f"chosen_{rule}"] = _choice(d_n, config.cutoff, model_a.identifier, model_b.identifier)
+            rec[f"chosen_{rule}"] = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
         records.append(rec)
     return _finish(config, records)
 
@@ -378,21 +363,19 @@ def run_mean_linkage(config: ExperimentConfig) -> ReplicationResult:
     rules therefore order the models identically at cutoff 0.
     """
     _require(config, Experiment.MEAN_LINKAGE)
-    model_a, model_b = _linkage_pair(config)
+    model_a, model_b = _pair(config)
     mean_a, mean_b = LINKAGE_MEANS
     v = config.tau_q2
     ratio = 2.0 / v
     records = []
-    for r in range(config.replicates):
-        x = replicate_data(config, r)
-        rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
-        d_log = _log_scores(x, mean_b, v) - _log_scores(x, mean_a, v)
-        d_hyv = _hyvarinen_scores(x, mean_b, v) - _hyvarinen_scores(x, mean_a, v)
+    for rec, x in _replicates(config):
+        d_log = _delta(ScoreRule.LOG, x, v, v, mean_a, mean_b)
+        d_hyv = _delta(ScoreRule.HYVARINEN, x, v, v, mean_a, mean_b)
         rec["max_linkage_gap"] = float(np.max(np.abs(d_hyv - ratio * d_log)))
-        for rule, delta in ((ScoreRule.LOG.value, d_log), (ScoreRule.HYVARINEN.value, d_hyv)):
+        for rule, delta in zip(_RULE_KEYS, (d_log, d_hyv)):
             d_n = math.fsum(delta)
             rec[f"d_n_{rule}"] = d_n
-            rec[f"chosen_{rule}"] = _choice(d_n, config.cutoff, model_a.identifier, model_b.identifier)
+            rec[f"chosen_{rule}"] = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
         rec["selections_agree"] = rec["chosen_log"] == rec["chosen_hyvarinen"]
         records.append(rec)
     return _finish(config, records)
@@ -404,15 +387,13 @@ def run_consistency(config: ExperimentConfig) -> ReplicationResult:
     model_a, model_b = _variance_pair(config)
     grid = config.resolved_n_grid()
     records = []
-    for r in range(config.replicates):
-        x = replicate_data(config, r)
-        rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
-        for rule, scorer in _VECTOR_SCORERS.items():
-            delta = scorer(x, 0.0, config.tau_q2) - scorer(x, 0.0, config.tau_p2)
+    for rec, x in _replicates(config):
+        for rule in _RULE_KEYS:
+            delta = _delta(rule, x, config.tau_p2, config.tau_q2)
             for g in grid:
                 d_g = math.fsum(delta[:g])
                 rec[f"d_n_{rule}_{g}"] = d_g
-                rec[f"chosen_{rule}_{g}"] = _choice(d_g, config.cutoff, model_a.identifier, model_b.identifier)
+                rec[f"chosen_{rule}_{g}"] = _choose(d_g, config.cutoff, model_a.identifier, model_b.identifier)
             rec[f"d_n_{rule}"] = rec[f"d_n_{rule}_{grid[-1]}"]
             rec[f"chosen_{rule}"] = rec[f"chosen_{rule}_{grid[-1]}"]
         records.append(rec)
@@ -427,12 +408,10 @@ def run_outlier_locality(config: ExperimentConfig) -> ReplicationResult:
     that ignore history confine it to term k alone.
     """
     _require(config, Experiment.OUTLIER_LOCALITY)
-    model_a, model_b = _outlier_pair(config)
+    model_a, model_b = _pair(config)
     records = []
-    for r in range(config.replicates):
-        x = replicate_data(config, r)
-        y, mag = _inject_outlier(config, x)
-        rec = {"replicate": r, "seed": config.base_seed, "n": config.n, "outlier_magnitude": mag}
+    for rec, x in _replicates(config):
+        y, rec["outlier_magnitude"] = _inject_outlier(config, x)
         for rule in _RULE_KEYS:
             base = delta_trace(model_a, model_b, x, rule)
             bumped = delta_trace(model_a, model_b, y, rule)
@@ -440,7 +419,7 @@ def run_outlier_locality(config: ExperimentConfig) -> ReplicationResult:
             rec[f"changed_{rule}"] = [int(i) for i in changed]
             rec[f"abs_shift_{rule}"] = abs(bumped.final - base.final)
             rec[f"d_n_{rule}"] = bumped.final
-            rec[f"chosen_{rule}"] = _choice(bumped.final, config.cutoff, model_a.identifier, model_b.identifier)
+            rec[f"chosen_{rule}"] = _choose(bumped.final, config.cutoff, model_a.identifier, model_b.identifier)
         records.append(rec)
     return _finish(config, records)
 
@@ -458,27 +437,25 @@ def run_unit_change(config: ExperimentConfig) -> ReplicationResult:
     model_a, model_b = _variance_pair(config)
     scaled_a, scaled_b = _variance_pair(config, scale=c)
     records = []
-    for r in range(config.replicates):
-        x = replicate_data(config, r)
+    hyvarinen = _GAUSSIAN_KERNELS[ScoreRule.HYVARINEN]
+    for rec, x in _replicates(config):
         xc = x * c
-        rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
         hyv_gap = 0.0
         for v in (config.tau_p2, config.tau_q2):
-            base = _hyvarinen_scores(x, 0.0, v)
-            scaled = _hyvarinen_scores(xc, 0.0, v * c2)
+            base = hyvarinen(x, 0.0, v)
+            scaled = hyvarinen(xc, 0.0, v * c2)
             hyv_gap = max(hyv_gap, float(np.max(np.abs(scaled * c2 - base) / (1.0 + np.abs(base)))))
         rec["hyvarinen_scale_gap"] = hyv_gap
-        dl_base = _log_scores(x, 0.0, config.tau_q2) - _log_scores(x, 0.0, config.tau_p2)
-        dl_scaled = _log_scores(xc, 0.0, config.tau_q2 * c2) - _log_scores(xc, 0.0, config.tau_p2 * c2)
-        rec["log_delta_gap"] = float(np.max(np.abs(dl_scaled - dl_base) / (1.0 + np.abs(dl_base))))
         agree = True
-        for rule, scorer in _VECTOR_SCORERS.items():
-            delta = scorer(x, 0.0, config.tau_q2) - scorer(x, 0.0, config.tau_p2)
-            delta_c = scorer(xc, 0.0, config.tau_q2 * c2) - scorer(xc, 0.0, config.tau_p2 * c2)
+        for rule in _RULE_KEYS:
+            delta = _delta(rule, x, config.tau_p2, config.tau_q2)
+            delta_c = _delta(rule, xc, config.tau_p2 * c2, config.tau_q2 * c2)
+            if rule == ScoreRule.LOG.value:
+                rec["log_delta_gap"] = float(np.max(np.abs(delta_c - delta) / (1.0 + np.abs(delta))))
             d_n = math.fsum(delta)
             d_n_c = math.fsum(delta_c)
-            chosen = _choice(d_n, config.cutoff, model_a.identifier, model_b.identifier)
-            chosen_c = _choice(d_n_c, config.cutoff, scaled_a.identifier, scaled_b.identifier)
+            chosen = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
+            chosen_c = _choose(d_n_c, config.cutoff, scaled_a.identifier, scaled_b.identifier)
             rec[f"d_n_{rule}"] = d_n
             rec[f"d_n_scaled_{rule}"] = d_n_c
             rec[f"chosen_{rule}"] = chosen
@@ -508,14 +485,14 @@ def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform
     dens_x = (gaussian_density(0.0, config.tau_p2), gaussian_density(0.0, config.tau_q2))
     dens_y = tuple(pushforward_density(d, t) for d in dens_x)
     records = []
-    for r in range(config.replicates):
-        x = replicate_data(config, r)
+    for rec, x in _replicates(config):
+        rec["transform"] = t.name
         t.require_increasing_on(x)
         y = np.array([t.g(float(v)) for v in x])
-        rec = {"replicate": r, "seed": config.base_seed, "n": config.n, "transform": t.name}
         for rule in _RULE_KEYS:
-            delta_x = _VECTOR_SCORERS[rule](x, 0.0, config.tau_q2) - _VECTOR_SCORERS[rule](x, 0.0, config.tau_p2)
-            delta_y = _density_deltas(y, dens_y[0], dens_y[1], rule)
+            delta_x = _delta(rule, x, config.tau_p2, config.tau_q2)
+            kernel = _DENSITY_KERNELS[ScoreRule(rule)]
+            delta_y = np.array([kernel(dens_y[1], v) - kernel(dens_y[0], v) for v in y.tolist()])
             gap = np.abs(delta_y - delta_x)
             if rule == ScoreRule.LOG.value:
                 rec["log_delta_gap"] = float(np.max(gap))
@@ -524,25 +501,11 @@ def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform
             for scale_tag, delta in (("x", delta_x), ("y", delta_y)):
                 d_n = math.fsum(delta)
                 rec[f"d_n_{rule}_{scale_tag}"] = d_n
-                rec[f"chosen_{rule}_{scale_tag}"] = _choice(d_n, config.cutoff, model_a.identifier, model_b.identifier)
+                rec[f"chosen_{rule}_{scale_tag}"] = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
             rec[f"d_n_{rule}"] = rec[f"d_n_{rule}_x"]
             rec[f"chosen_{rule}"] = rec[f"chosen_{rule}_x"]
         records.append(rec)
     return _finish(config, records)
-
-
-def _density_deltas(y: np.ndarray, dens_a: DensityWithDerivatives, dens_b: DensityWithDerivatives, rule: str) -> np.ndarray:
-    out = np.empty(y.size)
-    if rule == ScoreRule.LOG.value:
-        for i, v in enumerate(y):
-            out[i] = -dens_b.logpdf(float(v)) - (-dens_a.logpdf(float(v)))
-        return out
-    for i, v in enumerate(y):
-        fv = float(v)
-        sb = 2.0 * dens_b.d2logpdf(fv) + dens_b.dlogpdf(fv) ** 2
-        sa = 2.0 * dens_a.d2logpdf(fv) + dens_a.dlogpdf(fv) ** 2
-        out[i] = sb - sa
-    return out
 
 
 def run_multi_model(config: ExperimentConfig) -> ReplicationResult:
@@ -552,14 +515,12 @@ def run_multi_model(config: ExperimentConfig) -> ReplicationResult:
     ids = [m.identifier for m in candidates]
     variances = [config.tau_q2 * f for f in MULTI_MODEL_FACTORS]
     records = []
-    for r in range(config.replicates):
-        x = replicate_data(config, r)
-        rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
-        for rule, scorer in _VECTOR_SCORERS.items():
-            totals = [math.fsum(scorer(x, 0.0, v)) for v in variances]
-            best = min(range(len(ids)), key=lambda m: (totals[m], m))
+    for rec, x in _replicates(config):
+        for rule in _RULE_KEYS:
+            kernel = _GAUSSIAN_KERNELS[ScoreRule(rule)]
+            totals = [math.fsum(kernel(x, 0.0, v)) for v in variances]
             rec[f"totals_{rule}"] = totals
-            rec[f"chosen_{rule}"] = ids[best]
+            rec[f"chosen_{rule}"] = ids[_argmin(totals)]
         records.append(rec)
     return _finish(config, records)
 
@@ -710,16 +671,7 @@ def replicate_trace(config: ExperimentConfig, r: int = 0, rule=ScoreRule.HYVARIN
     base-unit) series elsewhere, and for the multi-candidate experiment the
     true model against the widest alternative.
     """
-    e = config.experiment
     x = replicate_data(config, r)
-    if e is Experiment.OUTLIER_LOCALITY:
-        model_a, model_b = _outlier_pair(config)
+    if config.experiment is Experiment.OUTLIER_LOCALITY:
         x, _ = _inject_outlier(config, x)
-    elif e is Experiment.MEAN_LINKAGE:
-        model_a, model_b = _linkage_pair(config)
-    elif e is Experiment.MULTI_MODEL:
-        candidates = _multi_model_candidates(config)
-        model_a, model_b = candidates[_MULTI_TRUE_INDEX], candidates[-1]
-    else:
-        model_a, model_b = _variance_pair(config)
-    return delta_trace(model_a, model_b, x, rule)
+    return delta_trace(*_pair(config), x, rule)

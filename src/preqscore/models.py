@@ -23,12 +23,11 @@ import numpy as np
 from .densities import (
     DensityWithDerivatives,
     MonotoneTransform,
-    gaussian_density,
     pushforward_density,
     student_t_density,
 )
-from .errors import InsufficientHistory, NonPositiveVariance
-from .scores import GaussianPredictive
+from .errors import InsufficientHistory, NonFiniteValue, NonPositiveVariance
+from .scores import GaussianPredictive, _density_of
 
 __all__ = [
     "PredictiveModel",
@@ -37,7 +36,6 @@ __all__ = [
     "iid_gaussian_model",
     "flat_prior_location_model",
     "flat_prior_scale_model",
-    "predictive_at",
 ]
 
 
@@ -73,11 +71,13 @@ class PredictiveModel:
 
 
 def _check_history(history) -> np.ndarray:
+    """A series of observations as a 1-D float array; every entry must be finite."""
     h = np.asarray(history, dtype=float)
     if h.ndim != 1:
-        raise ValueError(f"history must be one-dimensional, got shape {h.shape}")
+        raise ValueError(f"observations must be one-dimensional, got shape {h.shape}")
     if h.size and not np.all(np.isfinite(h)):
-        raise ValueError("history contains non-finite entries")
+        i = int(np.flatnonzero(~np.isfinite(h))[0]) + 1
+        raise NonFiniteValue(f"observation {i} is {float(h[i - 1])!r}; observations must be finite", index=i)
     return h
 
 
@@ -174,21 +174,6 @@ def flat_prior_scale_model(mean: float, identifier: str | None = None) -> Predic
     return FlatPriorScaleModel(mean, identifier)
 
 
-def predictive_at(model: PredictiveModel, history):
-    """Uniform accessor: one-step predictive of ``model`` after ``history``."""
-    return model.predictive_at(history)
-
-
-def _as_density(predictive) -> DensityWithDerivatives:
-    if isinstance(predictive, DensityWithDerivatives):
-        return predictive
-    if isinstance(predictive, GaussianPredictive):
-        return gaussian_density(predictive.mean, predictive.variance)
-    if hasattr(predictive, "density"):
-        return predictive.density()
-    raise TypeError(f"cannot view {type(predictive).__name__} as a density")
-
-
 class TransformedModel(PredictiveModel):
     """Model for data observed on the ``y = g(x)`` scale of an inner model.
 
@@ -206,4 +191,4 @@ class TransformedModel(PredictiveModel):
     def predictive_at(self, history) -> DensityWithDerivatives:
         h = _check_history(history)
         pulled = np.array([self.transform.inverse(float(v)) for v in h])
-        return pushforward_density(_as_density(self.inner.predictive_at(pulled)), self.transform)
+        return pushforward_density(_density_of(self.inner.predictive_at(pulled)), self.transform)

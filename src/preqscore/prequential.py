@@ -17,16 +17,18 @@ and plain running sums can drift enough to flip a sign near the cutoff.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyTrace, PreqscoreError
-from .models import PredictiveModel
-from .scores import ScoreRule, as_rule, rescale_rule, score_predictive
+from .errors import EmptyTrace, NonFiniteValue, PreqscoreError
+from .models import PredictiveModel, _check_history
+from .scores import ScaledRule, ScoreRule, as_rule, score_predictive
 
 __all__ = [
     "TIE",
@@ -35,7 +37,6 @@ __all__ = [
     "delta_trace",
     "select",
     "select_among",
-    "rescale_rule",
     "compensated_cumsum",
     "write_trace_csv",
     "trace_csv_text",
@@ -107,6 +108,41 @@ class SelectionOutcome:
     d_n: float
 
 
+def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.ndarray, np.ndarray, ScaledRule]:
+    """Score every observation prequentially under every model.
+
+    Returns the validated data, the (models, observations) score matrix and
+    the coerced rule.  Observations are visited in order and, at each one,
+    the models in list order.  A failure is re-raised with the model and the
+    1-based index of the offending observation attached; arithmetic failures
+    and non-finite scores become :class:`NonFiniteValue`.
+    """
+    r = as_rule(rule)
+    x = _check_history(data)
+    scores = np.empty((len(models), x.size))
+    for i in range(x.size):
+        history = x[:i]
+        xi = float(x[i])
+        for m, model in enumerate(models):
+            try:
+                value = score_predictive(xi, model.predictive_at(history), r).value
+                if not math.isfinite(value):
+                    raise NonFiniteValue(f"score is {value!r}", index=i + 1)
+            except ArithmeticError as e:
+                raise _located(NonFiniteValue(f"score is not finite: {e!r}", index=i + 1), model, i) from e
+            except PreqscoreError as e:
+                raise _located(e, model, i) from e
+            scores[m, i] = value
+    return x, scores, r
+
+
+def _located(e: PreqscoreError, model: PredictiveModel, i: int) -> PreqscoreError:
+    """Copy of ``e``, attributes kept, whose message names the model and observation i + 1."""
+    err = copy.copy(e)
+    err.args = (f"{e} (model {model.identifier!r}, observation {i + 1})",)
+    return err
+
+
 def delta_trace(
     model_a: PredictiveModel,
     model_b: PredictiveModel,
@@ -115,23 +151,11 @@ def delta_trace(
 ) -> DeltaTrace:
     """Score every observation prequentially under both models.
 
-    Scoring errors (e.g. a log score on an improper early predictive) are
-    re-raised with the 1-based index of the offending observation attached.
+    Non-finite or non-1-D data is rejected up front.  Scoring errors (e.g. a
+    log score on an improper early predictive) are re-raised with the 1-based
+    index of the offending observation attached.
     """
-    r = as_rule(rule)
-    x = np.asarray(data, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"data must be one-dimensional, got shape {x.shape}")
-    n = x.size
-    sa = np.empty(n)
-    sb = np.empty(n)
-    for i in range(n):
-        history = x[:i]
-        for model, out in ((model_a, sa), (model_b, sb)):
-            try:
-                out[i] = score_predictive(float(x[i]), model.predictive_at(history), r).value
-            except PreqscoreError as e:
-                raise type(e)(f"{e} (model {model.identifier!r}, observation {i + 1})") from e
+    x, (sa, sb), r = _score_matrix((model_a, model_b), data, rule)
     per_step = sb - sa
     return DeltaTrace(
         per_step=per_step,
@@ -146,16 +170,24 @@ def delta_trace(
     )
 
 
+def _choose(d_n: float, cutoff: float, id_a: str, id_b: str) -> str:
+    """D_n > cutoff favours A, D_n < cutoff favours B, equality is a tie."""
+    if d_n > cutoff:
+        return id_a
+    if d_n < cutoff:
+        return id_b
+    return TIE
+
+
+def _argmin(values: Sequence[float]) -> int:
+    """Index of the smallest value; exact ties go to the lowest index."""
+    return min(range(len(values)), key=values.__getitem__)
+
+
 def select(trace: DeltaTrace, cutoff: float = 0.0) -> SelectionOutcome:
     """Choose between the trace's two models by comparing D_n to the cutoff."""
     d_n = trace.final  # raises EmptyTrace on an empty trace
-    if d_n > cutoff:
-        chosen = trace.model_a
-    elif d_n < cutoff:
-        chosen = trace.model_b
-    else:
-        chosen = TIE
-    return SelectionOutcome(chosen=chosen, cutoff=cutoff, d_n=d_n)
+    return SelectionOutcome(chosen=_choose(d_n, cutoff, trace.model_a, trace.model_b), cutoff=cutoff, d_n=d_n)
 
 
 def select_among(models: Sequence[PredictiveModel], data, rule) -> str:
@@ -166,19 +198,9 @@ def select_among(models: Sequence[PredictiveModel], data, rule) -> str:
     """
     if len(models) < 2:
         raise ValueError(f"need at least 2 models, got {len(models)}")
-    r = as_rule(rule)
-    x = np.asarray(data, dtype=float)
-    totals = []
-    for model in models:
-        scores = np.empty(x.size)
-        for i in range(x.size):
-            try:
-                scores[i] = score_predictive(float(x[i]), model.predictive_at(x[:i]), r).value
-            except PreqscoreError as e:
-                raise type(e)(f"{e} (model {model.identifier!r}, observation {i + 1})") from e
-        totals.append(float(compensated_cumsum(scores)[-1]) if x.size else 0.0)
-    best = min(range(len(models)), key=lambda m: (totals[m], m))
-    return models[best].identifier
+    x, scores, _ = _score_matrix(models, data, rule)
+    totals = [float(compensated_cumsum(row)[-1]) if x.size else 0.0 for row in scores]
+    return models[_argmin(totals)].identifier
 
 
 def _format(v: float) -> str:

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import DensityWithDerivatives
+from .densities import DensityWithDerivatives, gaussian_density
 from .errors import (
     DimensionMismatch,
     HyvarinenInapplicable,
@@ -48,7 +48,6 @@ from .errors import (
 __all__ = [
     "ScoreRule",
     "ScaledRule",
-    "RuleLike",
     "as_rule",
     "rescale_rule",
     "ScoreValue",
@@ -86,9 +85,6 @@ class ScaledRule:
             raise NonPositiveScale(f"scale must be positive, got {self.scale}")
 
 
-RuleLike = "ScoreRule | ScaledRule | str"
-
-
 def as_rule(rule) -> ScaledRule:
     """Coerce a rule name, enum member or scaled rule to a ScaledRule."""
     if isinstance(rule, ScaledRule):
@@ -108,8 +104,6 @@ def rescale_rule(rule, lam: float) -> ScaledRule:
     rescaled rule equals selecting on the original rule with cutoff c/lambda.
     Rescalings compose multiplicatively.
     """
-    if not lam > 0:
-        raise NonPositiveScale(f"scale must be positive, got {lam}")
     base = as_rule(rule)
     return ScaledRule(base.base, base.scale * lam)
 
@@ -158,6 +152,32 @@ class GaussianPredictive:
         return cls(mean=math.nan, variance=math.nan, improper_flat=True)
 
 
+def _gaussian_log_score(x, mean: float, variance: float):
+    """Raw log score of N(mean, variance) at ``x``, a float or an ndarray."""
+    return 0.5 * math.log(2.0 * math.pi * variance) + (x - mean) ** 2 / (2.0 * variance)
+
+
+def _gaussian_hyvarinen_score(x, mean: float, variance: float):
+    """Raw gradient-based score of N(mean, variance) at ``x``, a float or an ndarray."""
+    return -2.0 / variance + (x - mean) ** 2 / variance**2
+
+
+def _density_log_score(q: DensityWithDerivatives, x: float) -> float:
+    """Raw log score of a density at ``x``; the caller checks ``q.proper``."""
+    return -q.logpdf(x)
+
+
+def _density_hyvarinen_score(q: DensityWithDerivatives, x: float) -> float:
+    """Raw gradient-based score of a density at ``x``; the caller checks ``q.smooth``."""
+    return 2.0 * q.d2logpdf(x) + q.dlogpdf(x) ** 2
+
+
+# The raw kernels by rule, for the experiment runners.  The scalar scorers
+# below call the same functions, so both routes agree bitwise.
+_GAUSSIAN_KERNELS = {ScoreRule.LOG: _gaussian_log_score, ScoreRule.HYVARINEN: _gaussian_hyvarinen_score}
+_DENSITY_KERNELS = {ScoreRule.LOG: _density_log_score, ScoreRule.HYVARINEN: _density_hyvarinen_score}
+
+
 def log_score(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue:
     """Negative log predictive density of a normal law.
 
@@ -166,8 +186,7 @@ def log_score(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue
     """
     if q.improper_flat:
         raise ImproperPredictive("log score undefined: flat predictive has no normalizable density")
-    raw = 0.5 * math.log(2.0 * math.pi * q.variance) + (x - q.mean) ** 2 / (2.0 * q.variance)
-    return ScoreValue(scale * raw, ScoreRule.LOG, scale)
+    return ScoreValue(scale * _gaussian_log_score(x, q.mean, q.variance), ScoreRule.LOG, scale)
 
 
 def hyvarinen_score_gaussian(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue:
@@ -179,8 +198,7 @@ def hyvarinen_score_gaussian(x: float, q: GaussianPredictive, scale: float = 1.0
     """
     if q.improper_flat:
         return ScoreValue(0.0, ScoreRule.HYVARINEN, scale)
-    raw = -2.0 / q.variance + (x - q.mean) ** 2 / q.variance**2
-    return ScoreValue(scale * raw, ScoreRule.HYVARINEN, scale)
+    return ScoreValue(scale * _gaussian_hyvarinen_score(x, q.mean, q.variance), ScoreRule.HYVARINEN, scale)
 
 
 def hyvarinen_score_mvn(x, mean, covariance, scale: float = 1.0) -> ScoreValue:
@@ -216,36 +234,54 @@ def hyvarinen_score_generic(x: float, q: DensityWithDerivatives, scale: float = 
     """
     if not q.smooth:
         raise HyvarinenInapplicable("log density is not C2; gradient-based score undefined")
-    raw = 2.0 * q.d2logpdf(x) + q.dlogpdf(x) ** 2
-    return ScoreValue(scale * raw, ScoreRule.HYVARINEN, scale)
+    return ScoreValue(scale * _density_hyvarinen_score(q, x), ScoreRule.HYVARINEN, scale)
+
+
+# The flat predictive as a density: constant log density, so zero derivatives.
+_FLAT_DENSITY = DensityWithDerivatives(
+    logpdf=lambda x: 0.0,
+    dlogpdf=lambda x: 0.0,
+    d2logpdf=lambda x: 0.0,
+    proper=False,
+)
+
+
+def _density_of(predictive) -> DensityWithDerivatives:
+    """View any predictive this package produces as a density with derivatives.
+
+    The flat :class:`GaussianPredictive` maps to the improper constant
+    density, and objects exposing ``.density()`` are unwrapped.
+    """
+    if isinstance(predictive, DensityWithDerivatives):
+        return predictive
+    if isinstance(predictive, GaussianPredictive):
+        if predictive.improper_flat:
+            return _FLAT_DENSITY
+        return gaussian_density(predictive.mean, predictive.variance)
+    if hasattr(predictive, "density"):
+        return _density_of(predictive.density())
+    raise TypeError(f"cannot score object of type {type(predictive).__name__}")
 
 
 def score_predictive(x: float, predictive, rule) -> ScoreValue:
     """Score one observation under any predictive this package produces.
 
-    Dispatches on the predictive type: :class:`GaussianPredictive` uses the
-    closed normal formulas, :class:`DensityWithDerivatives` the generic
-    ones, and any object exposing ``.density()`` is unwrapped first.
+    :class:`GaussianPredictive` is scored with the closed normal formulas;
+    every other predictive is viewed as a density first (see
+    :func:`_density_of`) and scored from its declared log-derivatives.
     """
     r = as_rule(rule)
-    if isinstance(predictive, GaussianPredictive):
-        if r.base is ScoreRule.LOG:
+    if r.base is ScoreRule.LOG:
+        if isinstance(predictive, GaussianPredictive):
             return log_score(x, predictive, r.scale)
-        if r.base is ScoreRule.HYVARINEN:
+        q = _density_of(predictive)
+        if not q.proper:
+            raise q.improper_error("log score undefined: predictive density is not normalizable")
+        return ScoreValue(r.scale * _density_log_score(q, x), ScoreRule.LOG, r.scale)
+    if r.base is ScoreRule.HYVARINEN:
+        if isinstance(predictive, GaussianPredictive):
             return hyvarinen_score_gaussian(x, predictive, r.scale)
-    elif isinstance(predictive, DensityWithDerivatives):
-        if r.base is ScoreRule.LOG:
-            if not predictive.proper:
-                raise predictive.improper_error(
-                    "log score undefined: predictive density is not normalizable"
-                )
-            return ScoreValue(-r.scale * predictive.logpdf(x), ScoreRule.LOG, r.scale)
-        if r.base is ScoreRule.HYVARINEN:
-            return hyvarinen_score_generic(x, predictive, r.scale)
-    elif hasattr(predictive, "density"):
-        return score_predictive(x, predictive.density(), rule)
-    else:
-        raise TypeError(f"cannot score object of type {type(predictive).__name__}")
+        return hyvarinen_score_generic(x, _density_of(predictive), r.scale)
     raise ValueError(f"rule {r.base.value} is not defined for predictive densities")
 
 

@@ -235,8 +235,7 @@ def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int =
     z = stream(seed, substream).standard_normal(n)
     x = np.empty(n)
     for i, st in enumerate(states):
-        m = spec.mean + float(np.dot(st.coefficients, x[:i] - spec.mean))
-        x[i] = m + math.sqrt(st.conditional_variance) * z[i]
+        x[i] = st.conditional_mean(x[:i], spec.mean) + math.sqrt(st.conditional_variance) * z[i]
     return x
 
 
@@ -256,8 +255,7 @@ class StationaryProcessModel(PredictiveModel):
     def predictive_at(self, history) -> GaussianPredictive:
         h = _check_history(history)
         st = self._recursion.state(h.size + 1)
-        mean = self.spec.mean + float(np.dot(st.coefficients, h - self.spec.mean))
-        return GaussianPredictive(mean, st.conditional_variance)
+        return GaussianPredictive(st.conditional_mean(h, self.spec.mean), st.conditional_variance)
 
 
 def process_model(spec: StationaryProcessSpec, identifier: str | None = None) -> PredictiveModel:

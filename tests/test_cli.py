@@ -2,14 +2,15 @@
 
 import csv
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from preqscore import stream
-from preqscore.cli import cli_main, parse_model_spec, read_data_csv
+from preqscore import NonFiniteValue, stream
+from preqscore.cli import _write_json, cli_main, parse_model_spec, read_data_csv
 from preqscore.models import FlatPriorLocationModel, FlatPriorScaleModel, IIDGaussianModel
 from preqscore.stationary import StationaryProcessModel
 
@@ -103,6 +104,18 @@ def test_read_data_csv_errors(tmp_path):
     empty.write_text("x\n")
     with pytest.raises(ValueError, match="no observations"):
         read_data_csv(empty)
+
+    non_finite = tmp_path / "n.csv"
+    non_finite.write_text("x\n0.5\nnan\n")
+    with pytest.raises(NonFiniteValue, match="observation 2 is nan") as info:
+        read_data_csv(non_finite)
+    assert info.value.index == 2
+
+
+def test_summary_json_refuses_non_finite_numbers(tmp_path):
+    with pytest.raises(ValueError):
+        _write_json(tmp_path / "s.json", {"d_n": math.nan})
+    assert not (tmp_path / "s.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +299,45 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     )
     assert code == 2
     assert "xi" in capsys.readouterr().err
+
+
+def test_seed_outside_range_exits_two(tmp_path, capsys):
+    code = run_cli("experiment", "variance-expectation", "--seed", "-1", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert "base_seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_data_exits_two(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("x\n0.5\nnan\n")
+    code = run_cli(
+        "trace", "--model-a", "iidnorm(0,1)", "--model-b", "iidnorm(0,2)",
+        "--rule", "log", "--data", str(data), "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "observation 2 is nan" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "model_a, values",
+    [("iidnorm(0,1)", [1e200]), ("flatscale(0)", [0.0, 1.0])],
+)
+def test_arithmetic_failure_exits_two_without_traceback(tmp_path, model_a, values):
+    write_data(tmp_path / "d.csv", values)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "preqscore",
+            "trace", "--model-a", model_a, "--model-b", "iidnorm(0,2)",
+            "--rule", "hyvarinen", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "observation 1" in proc.stderr
 
 
 def test_module_entry_point(tmp_path):

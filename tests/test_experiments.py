@@ -24,8 +24,6 @@ from preqscore import (
     trace_csv_text,
 )
 from preqscore.experiments import (
-    _hyvarinen_scores,
-    _log_scores,
     aggregates_for,
     run_consistency,
     run_mean_linkage,
@@ -35,6 +33,7 @@ from preqscore.experiments import (
     run_unit_change,
     run_variance_expectation,
 )
+from preqscore.scores import _gaussian_hyvarinen_score, _gaussian_log_score
 
 
 def cfg(name, **kw):
@@ -67,6 +66,8 @@ def test_config_accepts_experiment_names():
         dict(n_grid=(5, 5000)),
         dict(min_frequency=0.0),
         dict(min_frequency=1.5),
+        dict(base_seed=-1),
+        dict(base_seed=2**64),
     ],
 )
 def test_config_validation(kw):
@@ -141,7 +142,7 @@ def test_vectorized_scores_match_scalar_trace():
     c = cfg("variance-expectation", n=100, base_seed=2)
     x = replicate_data(c, 0)
     pair = (iid_gaussian_model(0.0, c.tau_p2), iid_gaussian_model(0.0, c.tau_q2))
-    for rule, scorer in (("log", _log_scores), ("hyvarinen", _hyvarinen_scores)):
+    for rule, scorer in (("log", _gaussian_log_score), ("hyvarinen", _gaussian_hyvarinen_score)):
         vec = scorer(x, 0.0, c.tau_q2) - scorer(x, 0.0, c.tau_p2)
         tr = delta_trace(*pair, x, rule)
         np.testing.assert_array_equal(vec, tr.per_step)

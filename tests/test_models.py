@@ -18,7 +18,7 @@ from preqscore import (
     iid_gaussian_model,
     score_predictive,
 )
-from preqscore.models import StudentTPredictive, TransformedModel, predictive_at
+from preqscore.models import StudentTPredictive, TransformedModel
 
 from oracles import fd_first, fd_second, location_predictive_pdf, scale_predictive_pdf
 
@@ -173,9 +173,23 @@ def test_transformed_model_matches_pushforward_of_inner_predictive():
     assert got.d2logpdf(y) == pytest.approx(want.d2logpdf(y), rel=1e-12)
 
 
+def test_transformed_flat_prior_model_scores_under_gradient_rule_only():
+    from preqscore import delta_trace
+
+    t = cubic_plus_linear_transform()
+    wrapped = TransformedModel(flat_prior_location_model(1.0), t)
+    data = [t.g(v) for v in (0.3, -0.8, 1.2, 0.1)]
+    trace = delta_trace(wrapped, TransformedModel(iid_gaussian_model(0.0, 1.0), t), data, "hyvarinen")
+    assert np.all(np.isfinite(trace.scores_a))
+    assert np.all(np.isfinite(trace.per_step))
+    assert not wrapped.predictive_at([]).proper
+    with pytest.raises(ImproperPredictive, match=r"observation 1\)"):
+        delta_trace(wrapped, iid_gaussian_model(0.0, 1.0), data, "log")
+
+
 def test_transformed_model_identifier_and_helper():
     t = cubic_plus_linear_transform()
     wrapped = TransformedModel(iid_gaussian_model(0.0, 1.0), t)
     assert wrapped.identifier == "cubic_plus_linear:iidnorm(0.0,1.0)"
-    q = predictive_at(wrapped, [])
+    q = wrapped.predictive_at([])
     assert q.proper

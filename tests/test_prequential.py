@@ -15,6 +15,7 @@ from preqscore import (
     EmptyTrace,
     ImproperPredictive,
     InsufficientHistory,
+    NonFiniteValue,
     ScoreRule,
     compensated_cumsum,
     delta_trace,
@@ -91,6 +92,26 @@ def test_empty_trace_raises_on_final_and_select():
 def test_data_must_be_one_dimensional():
     with pytest.raises(ValueError):
         delta_trace(A, B, [[1.0], [2.0]], "log")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        select_among([A, B], [[0.1, 0.2]], "log")
+
+
+@pytest.mark.parametrize("data, index", [([0.5, math.nan], 2), ([math.nan, 0.5, 1.0], 1), ([0.1, 0.2, math.inf], 3)])
+def test_non_finite_data_is_rejected_with_its_index(data, index):
+    for call in (lambda: delta_trace(A, B, data, "log"), lambda: select_among([A, B], data, "hyvarinen")):
+        with pytest.raises(NonFiniteValue, match=f"observation {index} ") as info:
+            call()
+        assert info.value.index == index
+
+
+def test_arithmetic_failures_become_named_errors():
+    from preqscore import flat_prior_scale_model
+
+    with pytest.raises(NonFiniteValue, match=r"OverflowError.*'iidnorm\(0\.0,1\.0\)', observation 2") as info:
+        delta_trace(A, B, [0.0, 1e200], "hyvarinen")
+    assert info.value.index == 2
+    with pytest.raises(NonFiniteValue, match=r"ZeroDivisionError.*flatscale\(0\.0\)', observation 1"):
+        delta_trace(flat_prior_scale_model(0.0), A, [0.0, 1.0], "hyvarinen")
 
 
 def test_select_semantics():
@@ -179,6 +200,18 @@ def test_mid_sequence_failure_reports_observation_index():
 
     with pytest.raises(InsufficientHistory, match=r"'stumbler', observation 3"):
         delta_trace(Stumbler(), A, [0.1, 0.2, 0.3], "log")
+
+
+def test_error_context_keeps_the_error_attributes():
+    from preqscore import NotPositiveDefinite
+    from preqscore.stationary import StationaryProcessSpec, process_model
+
+    # gamma(1) > gamma(0): the 2x2 leading block is not positive definite.
+    bad = process_model(StationaryProcessSpec(0.0, lambda k: 1.0 if k == 0 else 2.0), identifier="bad")
+    with pytest.raises(NotPositiveDefinite) as info:
+        delta_trace(bad, A, [0.1, 0.2, 0.3], "log")
+    assert info.value.dimension == 2
+    assert str(info.value) == "leading 2x2 covariance block is not positive definite (model 'bad', observation 2)"
 
 
 def test_hyvarinen_rule_tolerates_improper_starts():
