@@ -39,7 +39,7 @@ from .errors import IndexOutOfRange, NonPositiveScale
 from .models import PredictiveModel, iid_gaussian_model
 from .prequential import TIE, DeltaTrace, _argmin, _choose, delta_trace
 from .scores import _DENSITY_KERNELS, _GAUSSIAN_KERNELS, ScoreRule
-from .stationary import Ar1MarkovModel
+from .stationary import Ar1MarkovModel, ar_process, sample_path
 from .streams import stream
 
 __all__ = [
@@ -126,6 +126,13 @@ class ExperimentConfig:
             raise ValueError(f"tau_q2 must be > 0, got {self.tau_q2}")
         if not self.unit_scale > 0:
             raise NonPositiveScale(f"unit scale must be > 0, got {self.unit_scale}")
+        # Scores divide by squared variances: tau_q2 times a multi-model factor
+        # (the AR(1) marginal 4/3 tau_q2 lies within), tau_p2, or either times c^2.
+        c2 = self.unit_scale * self.unit_scale
+        scored = [("tau_q2", self.tau_q2 * f) for f in MULTI_MODEL_FACTORS] + [("xi", self.tau_p2)]
+        for name, v in scored + [("unit_scale", self.tau_q2 * c2), ("unit_scale", self.tau_p2 * c2)]:
+            if not 0.0 < v * v < math.inf:
+                raise ValueError(f"{name}={getattr(self, name)!r} makes a scored variance {v!r} with square {v * v!r}")
         if not math.isfinite(self.cutoff):
             raise ValueError(f"cutoff must be finite, got {self.cutoff}")
         if self.truth not in ("P", "Q"):
@@ -279,17 +286,11 @@ def _pair(config: ExperimentConfig) -> tuple[PredictiveModel, PredictiveModel]:
     return _variance_pair(config)
 
 
-def _outlier_marginal_variance(config: ExperimentConfig) -> float:
-    if config.outlier_models == "ar1":
-        phi_a = OUTLIER_AR_COEFFICIENTS[0]
-        return config.tau_q2 / (1.0 - phi_a * phi_a)
-    return config.tau_p2
-
-
 def _resolved_outlier_magnitude(config: ExperimentConfig) -> float:
     if config.outlier_magnitude is not None:
         return float(config.outlier_magnitude)
-    return 5.0 * math.sqrt(_outlier_marginal_variance(config))
+    # five marginal sd of the data process, which model A of the pair describes
+    return 5.0 * math.sqrt(_pair(config)[0].predictive_at([]).variance)
 
 
 def replicate_data(config: ExperimentConfig, r: int) -> np.ndarray:
@@ -309,14 +310,7 @@ def replicate_data(config: ExperimentConfig, r: int) -> np.ndarray:
     if e is Experiment.OUTLIER_LOCALITY:
         if config.outlier_models == "iid":
             return rng.normal(0.0, math.sqrt(config.tau_p2), n)
-        phi = OUTLIER_AR_COEFFICIENTS[0]
-        s = math.sqrt(config.tau_q2)
-        z = rng.standard_normal(n)
-        x = np.empty(n)
-        x[0] = math.sqrt(_outlier_marginal_variance(config)) * z[0]
-        for i in range(1, n):
-            x[i] = phi * x[i - 1] + s * z[i]
-        return x
+        return sample_path(ar_process(OUTLIER_AR_COEFFICIENTS[:1], config.tau_q2), n, config.base_seed, r)
     raise ValueError(f"no data recipe for {e}")
 
 

@@ -186,6 +186,8 @@ def _argmin(values: Sequence[float]) -> int:
 
 def select(trace: DeltaTrace, cutoff: float = 0.0) -> SelectionOutcome:
     """Choose between the trace's two models by comparing D_n to the cutoff."""
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff}")
     d_n = trace.final  # raises EmptyTrace on an empty trace
     return SelectionOutcome(chosen=_choose(d_n, cutoff, trace.model_a, trace.model_b), cutoff=cutoff, d_n=d_n)
 

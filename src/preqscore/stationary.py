@@ -7,9 +7,11 @@ projection coefficients plus the conditional variance ``v_i`` of X_i given
 (X_1, ..., X_{i-1}).
 
 The conditional variance is the point of this module: it is constant in i
-only for special processes.  For an AR(p) process it is constant exactly for
-i > p (the first p steps see truncated histories); for a general process it
-is non-constant but non-increasing with a limit, the innovation variance.
+only for special processes.  For an AR(p) process it is the innovation
+variance exactly for i > p, where process models predict with the fixed lag
+filter ``mean + sum_j phi_j (x_{i-j} - mean)`` (Brockwell & Davis 1991,
+ch. 5) and the recursion serves only the first p steps; for a general
+process it is non-constant but non-increasing with that limit.
 
 Positive-definiteness failures raise with the first failing leading
 dimension instead of being regularized away: silent jitter would corrupt
@@ -44,33 +46,31 @@ __all__ = [
 
 
 class StationaryProcessSpec:
-    """Zero/constant-mean stationary Gaussian process given by gamma(k).
+    """Constant-mean stationary Gaussian process given by gamma(k).
 
-    ``autocov`` is evaluated lazily and cached per lag (AR specs solve their
-    Yule-Walker system once, on first use).  The cache is append-only and
-    safe for concurrent reads once fully built single-threaded.
+    Each :meth:`gamma` call evaluates ``autocov``; the prediction recursion
+    keeps the values it reads.  ``ar`` is ``(coefficients, innovation
+    variance)`` when the process is AR(p), coefficients ordered phi_1..phi_p;
+    process models then predict beyond step p with that lag filter.
     """
 
     def __init__(
         self,
         mean: float,
         autocov: Callable[[int], float],
-        max_lag_hint: int = 0,
         label: str = "process",
+        ar: tuple[Sequence[float], float] | None = None,
     ):
         self.mean = float(mean)
         self._autocov = autocov
-        self.max_lag_hint = int(max_lag_hint)
         self.label = label
-        self._cache: list[float] = []
+        self.ar = None if ar is None else (tuple(float(c) for c in ar[0]), float(ar[1]))
 
     def gamma(self, k: int) -> float:
         """Autocovariance at lag k >= 0."""
         if k < 0:
             raise ValueError(f"lag must be nonnegative, got {k}")
-        while len(self._cache) <= k:
-            self._cache.append(float(self._autocov(len(self._cache))))
-        return self._cache[k]
+        return float(self._autocov(k))
 
     def __repr__(self):
         return f"<StationaryProcessSpec {self.label}>"
@@ -100,24 +100,26 @@ class _DurbinLevinson:
 
     def __init__(self, spec: StationaryProcessSpec):
         self.spec = spec
-        self._phi: np.ndarray = np.empty(0)  # recency order: weight on most recent first
         self._states: list[PredictionRecursionState] = []
-        self._gam: np.ndarray = np.empty(0)  # gamma(0..m-1) as an array for fast dots
+        # gamma(0..len(states)-1), one lag evaluated per step; capacity doubles
+        self._gam: np.ndarray = np.empty(16)
 
-    def extend_to(self, n: int) -> None:
-        spec = self.spec
-        if n >= 1 and not self._states:
-            g0 = spec.gamma(0)
-            if not g0 > 0:
-                raise NotPositiveDefinite(1, f"gamma(0) = {g0} is not positive")
-            self._states.append(PredictionRecursionState(1, np.empty(0), g0))
-        if n > self._gam.size:
-            self._gam = np.array([spec.gamma(k) for k in range(n)])
-        while len(self._states) < n:
+    def state(self, i: int) -> PredictionRecursionState:
+        while len(self._states) < i:
             k = len(self._states)  # have states 1..k; compute state k+1
-            phi, v = self._phi, self._states[-1].conditional_variance
+            if k == self._gam.size:
+                self._gam = np.concatenate((self._gam, np.empty(k)))
+            self._gam[k] = self.spec.gamma(k)
+            if k == 0:
+                g0 = float(self._gam[0])
+                if not g0 > 0:
+                    raise NotPositiveDefinite(1, f"gamma(0) = {g0} is not positive")
+                self._states.append(PredictionRecursionState(1, np.empty(0), g0))
+                continue
+            prev = self._states[-1]  # phi in recency order: weight on most recent first
+            phi, v = prev.coefficients[::-1], prev.conditional_variance
             # numerator of the reflection coefficient: gamma(k) - sum_j phi_j gamma(k-1-j)
-            a = spec.gamma(k) - float(np.dot(phi, self._gam[k - 1 : 0 : -1]))
+            a = float(self._gam[k]) - float(np.dot(phi, self._gam[k - 1 : 0 : -1]))
             refl = a / v
             new_phi = np.empty(k)
             new_phi[: k - 1] = phi - refl * phi[::-1]
@@ -125,11 +127,7 @@ class _DurbinLevinson:
             new_v = v * (1.0 - refl * refl)
             if not new_v > 0:
                 raise NotPositiveDefinite(k + 1)
-            self._phi = new_phi
             self._states.append(PredictionRecursionState(k + 1, new_phi[::-1].copy(), new_v))
-
-    def state(self, i: int) -> PredictionRecursionState:
-        self.extend_to(i)
         return self._states[i - 1]
 
 
@@ -144,7 +142,6 @@ def durbin_levinson(spec: StationaryProcessSpec, n: int) -> list[PredictionRecur
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rec = _DurbinLevinson(spec)
-    rec.extend_to(n)
     return [rec.state(i) for i in range(1, n + 1)]
 
 
@@ -162,6 +159,8 @@ def ar_process(
     phis = np.asarray(coefficients, dtype=float)
     if not innovation_variance > 0:
         raise NonPositiveVariance(f"innovation variance must be positive, got {innovation_variance}")
+    if not np.all(np.isfinite(phis)):
+        raise NonStationary(f"AR coefficients must be finite, got {phis.tolist()}")
     p = phis.size
     label = f"ar({','.join(repr(float(c)) for c in phis)};{float(innovation_variance)})"
     if p == 0:
@@ -172,9 +171,8 @@ def ar_process(
         raise NonStationary(f"AR polynomial has a root of modulus {np.min(np.abs(roots))} <= 1")
 
     # Solve for gamma(0..p): gamma(k) - sum_j phi_j gamma(|k-j|) = s^2 * [k == 0]
-    a = np.zeros((p + 1, p + 1))
+    a = np.eye(p + 1)
     for k in range(p + 1):
-        a[k, k] += 1.0
         for j in range(1, p + 1):
             a[k, abs(k - j)] -= phis[j - 1]
     b = np.zeros(p + 1)
@@ -187,10 +185,7 @@ def ar_process(
             head.append(float(np.dot(phis, [head[m - j] for j in range(1, p + 1)])))
         return head[k]
 
-    # lag beyond which gamma has decayed below ~1e-16 relative
-    decay = 1.0 / float(np.min(np.abs(roots)))
-    hint = int(math.ceil(math.log(1e-16) / math.log(decay))) if decay < 1 else p
-    return StationaryProcessSpec(mean, autocov, max_lag_hint=max(hint, p), label=label)
+    return StationaryProcessSpec(mean, autocov, label=label, ar=(phis, innovation_variance))
 
 
 def ma_process(
@@ -211,7 +206,7 @@ def ma_process(
             return 0.0
         return innovation_variance * float(np.dot(full[: q + 1 - k], full[k:]))
 
-    return StationaryProcessSpec(mean, autocov, max_lag_hint=q, label=label)
+    return StationaryProcessSpec(mean, autocov, label=label)
 
 
 def white_noise(variance: float, mean: float = 0.0) -> StationaryProcessSpec:
@@ -220,31 +215,33 @@ def white_noise(variance: float, mean: float = 0.0) -> StationaryProcessSpec:
     return StationaryProcessSpec(
         mean,
         lambda k: variance if k == 0 else 0.0,
-        max_lag_hint=0,
         label=f"whitenoise({float(variance)})",
+        ar=((), variance),
     )
 
 
 def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int = 0) -> np.ndarray:
     """Exact Gaussian path of length n, deterministic given (spec, n, seed, substream).
 
-    Generated sequentially: x_i = conditional mean + sqrt(v_i) * z_i with the
-    z_i read from the counter-based stream keyed by ``(seed, substream)``.
+    Generated sequentially from the process model's own predictives:
+    x_i = predictive mean + sqrt(predictive variance) * z_i, with the z_i
+    read from the counter-based stream keyed by ``(seed, substream)``.
     """
-    states = durbin_levinson(spec, n)
+    model = StationaryProcessModel(spec)
     z = stream(seed, substream).standard_normal(n)
     x = np.empty(n)
-    for i, st in enumerate(states):
-        x[i] = st.conditional_mean(x[:i], spec.mean) + math.sqrt(st.conditional_variance) * z[i]
+    for i in range(n):
+        q = model.predictive_at(x[:i])
+        x[i] = q.mean + math.sqrt(q.variance) * z[i]
     return x
 
 
 class StationaryProcessModel(PredictiveModel):
     """Adapter exposing a stationary process as a predictive model.
 
-    The recursion table is extended lazily up to the longest history seen and
-    cached; extension is sequential, so build it single-threaded before any
-    concurrent reads.
+    AR(p) specs predict with their lag filter once the history holds p
+    values.  Otherwise the recursion table grows lazily to the longest history
+    seen, so build it single-threaded before any concurrent reads.
     """
 
     def __init__(self, spec: StationaryProcessSpec, identifier: str | None = None):
@@ -254,45 +251,33 @@ class StationaryProcessModel(PredictiveModel):
 
     def predictive_at(self, history) -> GaussianPredictive:
         h = _check_history(history)
+        mean, ar = self.spec.mean, self.spec.ar
+        if ar is not None and h.size >= len(ar[0]):
+            deviation = 0.0  # sum_j phi_j (x_{i-j} - mean), in Python floats: p is small
+            for phi, x in zip(ar[0], reversed(h[h.size - len(ar[0]) :].tolist())):
+                deviation += phi * (x - mean)
+            return GaussianPredictive(mean + deviation, ar[1])
         st = self._recursion.state(h.size + 1)
-        return GaussianPredictive(st.conditional_mean(h, self.spec.mean), st.conditional_variance)
+        return GaussianPredictive(st.conditional_mean(h, mean), st.conditional_variance)
 
 
 def process_model(spec: StationaryProcessSpec, identifier: str | None = None) -> PredictiveModel:
-    """Predictive model whose one-step laws come from the prediction recursion."""
+    """Predictive model whose one-step laws come from the process spec."""
     return StationaryProcessModel(spec, identifier)
 
 
-class Ar1MarkovModel(PredictiveModel):
-    """AR(1) predictives in closed form: exactly Markov in the last value.
+def Ar1MarkovModel(
+    phi: float,
+    innovation_variance: float,
+    mean: float = 0.0,
+    identifier: str | None = None,
+) -> PredictiveModel:
+    """AR(1) process model, identified as ``ar1(phi;s2)`` unless named.
 
-    Equivalent in exact arithmetic to ``process_model(ar_process([phi], s2))``
-    but built so the predictive mean depends on nothing beyond the most
-    recent observation, with no recursion round-off on higher lags.  Tests
-    that count which per-step scores an edited observation can touch need
-    that exactness.
+    Beyond the first step its predictive depends on the most recent value
+    alone, so an edited observation k touches only per-step terms k and k+1.
     """
-
-    def __init__(
-        self,
-        phi: float,
-        innovation_variance: float,
-        mean: float = 0.0,
-        identifier: str | None = None,
-    ):
-        if not abs(phi) < 1.0:
-            raise NonStationary(f"|phi| must be < 1 for a stationary AR(1), got {phi}")
-        if not innovation_variance > 0.0:
-            raise NonPositiveVariance(f"innovation variance must be > 0, got {innovation_variance}")
-        self.phi = float(phi)
-        self.innovation_variance = float(innovation_variance)
-        self.mean = float(mean)
-        self.marginal_variance = self.innovation_variance / (1.0 - self.phi * self.phi)
-        self.identifier = identifier or f"ar1({self.phi};{self.innovation_variance})"
-
-    def predictive_at(self, history) -> GaussianPredictive:
-        h = _check_history(history)
-        if h.size == 0:
-            return GaussianPredictive(self.mean, self.marginal_variance)
-        center = self.mean + self.phi * (float(h[-1]) - self.mean)
-        return GaussianPredictive(center, self.innovation_variance)
+    return process_model(
+        ar_process([phi], innovation_variance, mean),
+        identifier or f"ar1({float(phi)};{float(innovation_variance)})",
+    )

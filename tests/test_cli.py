@@ -340,6 +340,36 @@ def test_arithmetic_failure_exits_two_without_traceback(tmp_path, model_a, value
     assert "observation 1" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (("variance-expectation", "--xi", "1e300", "--n", "50", "--reps", "2"), "xi"),
+        (("unit-change", "--unit-scale", "1e200", "--n", "50", "--reps", "2"), "unit_scale"),
+    ],
+)
+def test_config_overflow_exits_two_without_traceback(tmp_path, argv, field):
+    proc = subprocess.run(
+        [sys.executable, "-m", "preqscore", "experiment", *argv, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"{field}=" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_trace_non_finite_cutoff_exits_two(tmp_path, capsys):
+    data = write_data(tmp_path / "d.csv", [0.1, 0.7, -0.2])
+    code = run_cli(
+        "trace", "--model-a", "iidnorm(0,1)", "--model-b", "iidnorm(0,2)",
+        "--rule", "log", "--data", str(data), "--cutoff", "nan", "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert "cutoff must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_module_entry_point(tmp_path):
     data = write_data(tmp_path / "d.csv", [0.1, 0.7, -0.2])
     proc = subprocess.run(

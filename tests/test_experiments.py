@@ -68,10 +68,17 @@ def test_config_accepts_experiment_names():
         dict(min_frequency=1.5),
         dict(base_seed=-1),
         dict(base_seed=2**64),
+        dict(xi=1e300),
+        dict(xi=1e-300),
+        dict(tau_q2=1e160),
+        dict(tau_q2=1e-170),
+        dict(unit_scale=1e200),
+        dict(unit_scale=1e-200),
     ],
 )
 def test_config_validation(kw):
-    with pytest.raises(ValueError):
+    (field,) = kw
+    with pytest.raises(ValueError, match=field):
         cfg("variance-expectation", **kw)
 
 

@@ -10,7 +10,9 @@ from preqscore import (
     NonStationary,
     NotPositiveDefinite,
     ar_process,
+    delta_trace,
     durbin_levinson,
+    iid_gaussian_model,
     ma_process,
     process_model,
     sample_path,
@@ -135,6 +137,8 @@ def test_process_validation():
         ar_process([1.0], 1.0)
     with pytest.raises(NonStationary):
         ar_process([0.5, 0.5], 1.0)
+    with pytest.raises(NonStationary):
+        ar_process([0.5, math.nan], 1.0)
     with pytest.raises(NonPositiveVariance):
         ar_process([0.5], 0.0)
     with pytest.raises(NonPositiveVariance):
@@ -195,10 +199,7 @@ def test_ar1_markov_model_matches_recursion_adapter():
     general = process_model(ar_process([0.5], 1.0, mean=2.0))
     history = np.array([2.5, 1.0, 3.2, 2.0])
     for k in range(len(history) + 1):
-        a = markov.predictive_at(history[:k])
-        b = general.predictive_at(history[:k])
-        assert a.mean == pytest.approx(b.mean, rel=1e-12, abs=1e-12)
-        assert a.variance == pytest.approx(b.variance, rel=1e-12)
+        assert markov.predictive_at(history[:k]) == general.predictive_at(history[:k])
 
 
 def test_ar1_markov_model_validation_and_identity():
@@ -208,4 +209,45 @@ def test_ar1_markov_model_validation_and_identity():
         Ar1MarkovModel(0.5, 0.0)
     m = Ar1MarkovModel(0.5, 1.0)
     assert m.identifier == "ar1(0.5;1.0)"
-    assert m.marginal_variance == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert m.predictive_at([]).variance == pytest.approx(4.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("phis", AR_CASES, ids=["ar1", "ar2", "ar3"])
+def test_ar_process_model_matches_dense_oracle(phis):
+    mean = 2.0
+    spec = ar_process(phis, 1.3, mean=mean)
+    model = process_model(spec)
+    x = sample_path(spec, 500, seed=5)
+    gammas = [spec.gamma(k) for k in range(500)]
+    for i in [1, 2, 3, 4, 5, 10, 50, 200, 500]:
+        coef, var = conditional_gaussian_oracle(gammas.__getitem__, i)
+        q = model.predictive_at(x[: i - 1])
+        assert q.variance == pytest.approx(var, rel=1e-12)
+        assert q.mean == pytest.approx(mean + float(coef @ (x[: i - 1] - mean)), rel=1e-12)
+
+
+@pytest.mark.parametrize("phis", [(0.5, 0.2), (0.4, -0.2, 0.1)], ids=["ar2", "ar3"])
+@pytest.mark.parametrize("rule", ["log", "hyvarinen"])
+def test_ar_edit_touches_only_the_next_p_terms(phis, rule):
+    p = len(phis)
+    model = process_model(ar_process(phis, 1.0, mean=0.5))
+    rival = iid_gaussian_model(0.0, 1.0)
+    x = sample_path(ar_process(phis, 1.0, mean=0.5), 40, seed=3)
+    base = delta_trace(model, rival, x, rule).scores_a
+    for k in [p + 1, 17, 40 - p]:
+        y = x.copy()
+        y[k - 1] += 4.0
+        changed = np.flatnonzero(delta_trace(model, rival, y, rule).scores_a != base) + 1
+        assert changed.tolist() == list(range(k, k + p + 1))
+
+
+def test_trace_evaluates_each_lag_once():
+    calls = []
+
+    def autocov(k):
+        calls.append(k)
+        return {0: 1.25, 1: 0.5}.get(k, 0.0)
+
+    model = process_model(StationaryProcessSpec(0.0, autocov, label="counted-ma1"))
+    delta_trace(model, iid_gaussian_model(0.0, 1.0), np.linspace(-1.0, 1.0, 30), "log")
+    assert calls == list(range(30))
