@@ -74,9 +74,10 @@ class NonMonotoneTransform(PreqscoreError, ValueError):
 
 
 class NonFiniteValue(PreqscoreError, ValueError):
-    """An observation, or the score of one, is NaN or infinite.
+    """An observation, the score of one, or a model parameter is NaN or infinite.
 
-    ``index`` is the 1-based position of the offending observation.
+    ``index`` is the 1-based position of the offending observation, None for
+    a model parameter.
     """
 
     def __init__(self, message: str, index: int | None = None):

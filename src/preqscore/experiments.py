@@ -15,9 +15,10 @@ so replicates may run in any order, or in parallel, without changing a bit
 of output.  Aggregates are reduced with ``math.fsum`` over records sorted by
 replicate index, making them independent of record order as well.
 
-The iid-normal experiments score whole replicates at once with the same
-score kernels that :mod:`preqscore.scores` applies to one observation at a
-time, so both routes agree bitwise.
+Every runner reads its score rows from the prequential fold
+(:func:`preqscore.prequential._score_matrix`), so experiments and traces
+share one path from data to D_n and its non-finite guard.  The one
+exception is reparametrisation's y-scale pushforward scores (see there).
 """
 
 from __future__ import annotations
@@ -37,9 +38,9 @@ from .densities import (
 )
 from .errors import IndexOutOfRange, NonPositiveScale
 from .models import PredictiveModel, iid_gaussian_model
-from .prequential import TIE, DeltaTrace, _argmin, _choose, delta_trace
-from .scores import _DENSITY_KERNELS, _GAUSSIAN_KERNELS, ScoreRule
-from .stationary import Ar1MarkovModel, ar_process, sample_path
+from .prequential import TIE, DeltaTrace, _argmin, _choose, _score_matrix, delta_trace
+from .scores import _DENSITY_KERNELS, ScoreRule
+from .stationary import Ar1MarkovModel, StationaryProcessModel, sample_path
 from .streams import stream
 
 __all__ = [
@@ -144,6 +145,8 @@ class ExperimentConfig:
             if not grid or any(g < 1 or g > self.n for g in grid) or list(grid) != sorted(set(grid)):
                 raise ValueError(f"n_grid must be strictly increasing integers in [1, n], got {self.n_grid!r}")
             object.__setattr__(self, "n_grid", grid)
+        if self.outlier_magnitude is not None and not math.isfinite(self.outlier_magnitude):
+            raise ValueError(f"outlier_magnitude must be finite, got {self.outlier_magnitude}")
         if self.min_frequency is not None and not 0.0 < self.min_frequency <= 1.0:
             raise ValueError(f"min_frequency must lie in (0, 1], got {self.min_frequency}")
 
@@ -207,15 +210,6 @@ def expected_hyvarinen_delta(xi: float, tau_q2: float) -> float:
     return (xi + 1.0 / xi - 2.0) / tau_q2
 
 
-def _delta(rule, x: np.ndarray, var_a: float, var_b: float, mean_a: float = 0.0, mean_b: float = 0.0) -> np.ndarray:
-    """Per-step score differences, model B minus model A, of two normal models.
-
-    ``rule`` is a :class:`ScoreRule` or its value.
-    """
-    kernel = _GAUSSIAN_KERNELS[ScoreRule(rule)]
-    return kernel(x, mean_b, var_b) - kernel(x, mean_a, var_a)
-
-
 def _sorted_records(records: Sequence[dict]) -> list[dict]:
     return sorted(records, key=lambda rec: rec["replicate"])
 
@@ -248,11 +242,6 @@ def _pooled_mean_se(records: Sequence[dict], sum_key: str, sumsq_key: str) -> tu
     sumsq = _fsum_key(records, sumsq_key)
     var = (sumsq - n_total * mean * mean) / max(1, n_total - 1)
     return mean, math.sqrt(max(0.0, var) / n_total), n_total
-
-
-def _require(config: ExperimentConfig, experiment: Experiment) -> None:
-    if config.experiment is not experiment:
-        raise ValueError(f"config is for {config.experiment.value!r}, runner expects {experiment.value!r}")
 
 
 # --- scenario construction (shared by runners and trace export) ------------
@@ -289,29 +278,27 @@ def _pair(config: ExperimentConfig) -> tuple[PredictiveModel, PredictiveModel]:
 def _resolved_outlier_magnitude(config: ExperimentConfig) -> float:
     if config.outlier_magnitude is not None:
         return float(config.outlier_magnitude)
-    # five marginal sd of the data process, which model A of the pair describes
-    return 5.0 * math.sqrt(_pair(config)[0].predictive_at([]).variance)
+    return 5.0 * math.sqrt(_true_model(config).predictive_at([]).variance)
+
+
+def _true_model(config: ExperimentConfig) -> PredictiveModel:
+    """The model that generates the data: model A of the pair, or B when a
+    consistency run names Q as the truth."""
+    model_a, model_b = _pair(config)
+    return model_b if config.experiment is Experiment.CONSISTENCY and config.truth == "Q" else model_a
 
 
 def replicate_data(config: ExperimentConfig, r: int) -> np.ndarray:
-    """Replicate r's dataset, before any outlier injection or unit change."""
-    rng = stream(config.base_seed, r)
-    n = config.n
-    e = config.experiment
-    if e in (Experiment.VARIANCE_EXPECTATION, Experiment.UNIT_CHANGE, Experiment.REPARAMETRISATION):
-        return rng.normal(0.0, math.sqrt(config.tau_p2), n)
-    if e is Experiment.CONSISTENCY:
-        v = config.tau_p2 if config.truth == "P" else config.tau_q2
-        return rng.normal(0.0, math.sqrt(v), n)
-    if e is Experiment.MEAN_LINKAGE:
-        return rng.normal(LINKAGE_MEANS[0], math.sqrt(config.tau_q2), n)
-    if e is Experiment.MULTI_MODEL:
-        return rng.normal(0.0, math.sqrt(config.tau_q2), n)
-    if e is Experiment.OUTLIER_LOCALITY:
-        if config.outlier_models == "iid":
-            return rng.normal(0.0, math.sqrt(config.tau_p2), n)
-        return sample_path(ar_process(OUTLIER_AR_COEFFICIENTS[:1], config.tau_q2), n, config.base_seed, r)
-    raise ValueError(f"no data recipe for {e}")
+    """Replicate r's dataset, before any outlier injection or unit change.
+
+    Drawn from the true model with the normals of ``stream(base_seed, r)``:
+    x_i = mean + sd * z_i, along the model's own predictives for a process.
+    """
+    model = _true_model(config)
+    if isinstance(model, StationaryProcessModel):
+        return sample_path(model.spec, config.n, config.base_seed, r)
+    q = model.predictive_at([])
+    return stream(config.base_seed, r).normal(q.mean, math.sqrt(q.variance), config.n)
 
 
 def _inject_outlier(config: ExperimentConfig, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -327,26 +314,43 @@ def _inject_outlier(config: ExperimentConfig, x: np.ndarray) -> tuple[np.ndarray
 # --- runners ----------------------------------------------------------------
 
 
-def _replicates(config: ExperimentConfig):
-    """Yield each replicate's record, to be filled in by the runner, and its data."""
+def _run(config: ExperimentConfig, experiment: Experiment, fill: Callable[[dict, np.ndarray], None]) -> ReplicationResult:
+    """Fill one record per replicate from its data, then aggregate and check."""
+    if config.experiment is not experiment:
+        raise ValueError(f"config is for {config.experiment.value!r}, runner expects {experiment.value!r}")
+    records = []
     for r in range(config.replicates):
-        yield {"replicate": r, "seed": config.base_seed, "n": config.n}, replicate_data(config, r)
+        rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
+        fill(rec, replicate_data(config, r))
+        records.append(rec)
+    aggregates = aggregates_for(config, records)
+    return ReplicationResult(config, records, aggregates, assertions_for(config, aggregates, records))
+
+
+def _per_step(pair: Sequence[PredictiveModel], x: np.ndarray, rule: str) -> np.ndarray:
+    """Per-step score differences, model B minus model A, from the prequential fold."""
+    _, (score_a, score_b), _ = _score_matrix(pair, x, rule)
+    return score_b - score_a
+
+
+def _decide(rec: dict, key: str, delta: np.ndarray, config: ExperimentConfig, pair: Sequence[PredictiveModel]) -> str:
+    """Record D_n, the fsum of ``delta``, and the model it selects, under ``key``."""
+    d_n = rec[f"d_n_{key}"] = math.fsum(delta.tolist())
+    chosen = rec[f"chosen_{key}"] = _choose(d_n, config.cutoff, pair[0].identifier, pair[1].identifier)
+    return chosen
 
 
 def run_variance_expectation(config: ExperimentConfig) -> ReplicationResult:
     """Check per-step mean score differences against their closed forms."""
-    _require(config, Experiment.VARIANCE_EXPECTATION)
-    model_a, model_b = _variance_pair(config)
-    records = []
-    for rec, x in _replicates(config):
+    pair = _variance_pair(config)
+
+    def fill(rec, x):
         for rule in _RULE_KEYS:
-            delta = _delta(rule, x, config.tau_p2, config.tau_q2)
-            d_n = math.fsum(delta)
-            rec[f"d_n_{rule}"] = d_n
+            delta = _per_step(pair, x, rule)
+            _decide(rec, rule, delta, config, pair)
             rec[f"sum_sq_delta_{rule}"] = float(np.dot(delta, delta))
-            rec[f"chosen_{rule}"] = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
-        records.append(rec)
-    return _finish(config, records)
+
+    return _run(config, Experiment.VARIANCE_EXPECTATION, fill)
 
 
 def run_mean_linkage(config: ExperimentConfig) -> ReplicationResult:
@@ -356,42 +360,33 @@ def run_mean_linkage(config: ExperimentConfig) -> ReplicationResult:
     difference equals (2 / variance) times the log-score difference; the two
     rules therefore order the models identically at cutoff 0.
     """
-    _require(config, Experiment.MEAN_LINKAGE)
-    model_a, model_b = _pair(config)
-    mean_a, mean_b = LINKAGE_MEANS
-    v = config.tau_q2
-    ratio = 2.0 / v
-    records = []
-    for rec, x in _replicates(config):
-        d_log = _delta(ScoreRule.LOG, x, v, v, mean_a, mean_b)
-        d_hyv = _delta(ScoreRule.HYVARINEN, x, v, v, mean_a, mean_b)
+    pair = _pair(config)
+    ratio = 2.0 / config.tau_q2
+
+    def fill(rec, x):
+        d_log, d_hyv = (_per_step(pair, x, rule) for rule in _RULE_KEYS)
         rec["max_linkage_gap"] = float(np.max(np.abs(d_hyv - ratio * d_log)))
         for rule, delta in zip(_RULE_KEYS, (d_log, d_hyv)):
-            d_n = math.fsum(delta)
-            rec[f"d_n_{rule}"] = d_n
-            rec[f"chosen_{rule}"] = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
+            _decide(rec, rule, delta, config, pair)
         rec["selections_agree"] = rec["chosen_log"] == rec["chosen_hyvarinen"]
-        records.append(rec)
-    return _finish(config, records)
+
+    return _run(config, Experiment.MEAN_LINKAGE, fill)
 
 
 def run_consistency(config: ExperimentConfig) -> ReplicationResult:
     """Track how often the true model wins as the sample size grows."""
-    _require(config, Experiment.CONSISTENCY)
-    model_a, model_b = _variance_pair(config)
+    pair = _variance_pair(config)
     grid = config.resolved_n_grid()
-    records = []
-    for rec, x in _replicates(config):
+
+    def fill(rec, x):
         for rule in _RULE_KEYS:
-            delta = _delta(rule, x, config.tau_p2, config.tau_q2)
+            delta = _per_step(pair, x, rule)
             for g in grid:
-                d_g = math.fsum(delta[:g])
-                rec[f"d_n_{rule}_{g}"] = d_g
-                rec[f"chosen_{rule}_{g}"] = _choose(d_g, config.cutoff, model_a.identifier, model_b.identifier)
+                _decide(rec, f"{rule}_{g}", delta[:g], config, pair)
             rec[f"d_n_{rule}"] = rec[f"d_n_{rule}_{grid[-1]}"]
             rec[f"chosen_{rule}"] = rec[f"chosen_{rule}_{grid[-1]}"]
-        records.append(rec)
-    return _finish(config, records)
+
+    return _run(config, Experiment.CONSISTENCY, fill)
 
 
 def run_outlier_locality(config: ExperimentConfig) -> ReplicationResult:
@@ -401,10 +396,9 @@ def run_outlier_locality(config: ExperimentConfig) -> ReplicationResult:
     value confine the edit at position k to per-step terms k and k+1; models
     that ignore history confine it to term k alone.
     """
-    _require(config, Experiment.OUTLIER_LOCALITY)
     model_a, model_b = _pair(config)
-    records = []
-    for rec, x in _replicates(config):
+
+    def fill(rec, x):
         y, rec["outlier_magnitude"] = _inject_outlier(config, x)
         for rule in _RULE_KEYS:
             base = delta_trace(model_a, model_b, x, rule)
@@ -414,8 +408,8 @@ def run_outlier_locality(config: ExperimentConfig) -> ReplicationResult:
             rec[f"abs_shift_{rule}"] = abs(bumped.final - base.final)
             rec[f"d_n_{rule}"] = bumped.final
             rec[f"chosen_{rule}"] = _choose(bumped.final, config.cutoff, model_a.identifier, model_b.identifier)
-        records.append(rec)
-    return _finish(config, records)
+
+    return _run(config, Experiment.OUTLIER_LOCALITY, fill)
 
 
 def run_unit_change(config: ExperimentConfig) -> ReplicationResult:
@@ -425,45 +419,29 @@ def run_unit_change(config: ExperimentConfig) -> ReplicationResult:
     every gradient-rule score by c^2 and leaves log-score differences alone,
     so selections cannot move.
     """
-    _require(config, Experiment.UNIT_CHANGE)
     c = config.unit_scale
     c2 = c * c
-    model_a, model_b = _variance_pair(config)
-    scaled_a, scaled_b = _variance_pair(config, scale=c)
-    records = []
-    hyvarinen = _GAUSSIAN_KERNELS[ScoreRule.HYVARINEN]
-    for rec, x in _replicates(config):
+    pair = _variance_pair(config)
+    scaled_pair = _variance_pair(config, scale=c)
+
+    def fill(rec, x):
         xc = x * c
-        hyv_gap = 0.0
-        for v in (config.tau_p2, config.tau_q2):
-            base = hyvarinen(x, 0.0, v)
-            scaled = hyvarinen(xc, 0.0, v * c2)
-            hyv_gap = max(hyv_gap, float(np.max(np.abs(scaled * c2 - base) / (1.0 + np.abs(base)))))
-        rec["hyvarinen_scale_gap"] = hyv_gap
+        rows = {rule: (_score_matrix(pair, x, rule)[1], _score_matrix(scaled_pair, xc, rule)[1]) for rule in _RULE_KEYS}
+        base, scaled = rows[ScoreRule.HYVARINEN.value]
+        rec["hyvarinen_scale_gap"] = float(np.max(np.abs(scaled * c2 - base) / (1.0 + np.abs(base))))
         agree = True
-        for rule in _RULE_KEYS:
-            delta = _delta(rule, x, config.tau_p2, config.tau_q2)
-            delta_c = _delta(rule, xc, config.tau_p2 * c2, config.tau_q2 * c2)
+        for rule, (rows_x, rows_xc) in rows.items():
+            delta = rows_x[1] - rows_x[0]
+            delta_c = rows_xc[1] - rows_xc[0]
             if rule == ScoreRule.LOG.value:
                 rec["log_delta_gap"] = float(np.max(np.abs(delta_c - delta) / (1.0 + np.abs(delta))))
-            d_n = math.fsum(delta)
-            d_n_c = math.fsum(delta_c)
-            chosen = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
-            chosen_c = _choose(d_n_c, config.cutoff, scaled_a.identifier, scaled_b.identifier)
-            rec[f"d_n_{rule}"] = d_n
-            rec[f"d_n_scaled_{rule}"] = d_n_c
-            rec[f"chosen_{rule}"] = chosen
-            agree = agree and _same_slot(chosen, chosen_c, (model_a, model_b), (scaled_a, scaled_b))
+            chosen = _decide(rec, rule, delta, config, pair)
+            d_n_c = rec[f"d_n_scaled_{rule}"] = math.fsum(delta_c.tolist())
+            # same slot of the pair: select on the scaled D_n with the base identifiers
+            agree = agree and chosen == _choose(d_n_c, config.cutoff, pair[0].identifier, pair[1].identifier)
         rec["selections_identical"] = agree
-        records.append(rec)
-    return _finish(config, records)
 
-
-def _same_slot(chosen, chosen_scaled, pair, scaled_pair) -> bool:
-    """True when both selections point at the same position in the pair."""
-    if chosen == TIE or chosen_scaled == TIE:
-        return chosen == chosen_scaled
-    return [m.identifier for m in pair].index(chosen) == [m.identifier for m in scaled_pair].index(chosen_scaled)
+    return _run(config, Experiment.UNIT_CHANGE, fill)
 
 
 def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform | None = None) -> ReplicationResult:
@@ -473,18 +451,20 @@ def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform
     between models); gradient-rule differences are not, except for affine
     transforms, which reduce to a unit change.
     """
-    _require(config, Experiment.REPARAMETRISATION)
     t = transform if transform is not None else cubic_plus_linear_transform()
-    model_a, model_b = _variance_pair(config)
+    pair = _variance_pair(config)
+    # The y-scale scores apply the density kernels to the pushed-forward laws
+    # directly: a TransformedModel pair would pull the whole history back
+    # through the inverse at every step, which is quadratic in n.
     dens_x = (gaussian_density(0.0, config.tau_p2), gaussian_density(0.0, config.tau_q2))
     dens_y = tuple(pushforward_density(d, t) for d in dens_x)
-    records = []
-    for rec, x in _replicates(config):
+
+    def fill(rec, x):
         rec["transform"] = t.name
         t.require_increasing_on(x)
         y = np.array([t.g(float(v)) for v in x])
         for rule in _RULE_KEYS:
-            delta_x = _delta(rule, x, config.tau_p2, config.tau_q2)
+            delta_x = _per_step(pair, x, rule)
             kernel = _DENSITY_KERNELS[ScoreRule(rule)]
             delta_y = np.array([kernel(dens_y[1], v) - kernel(dens_y[0], v) for v in y.tolist()])
             gap = np.abs(delta_y - delta_x)
@@ -493,38 +473,28 @@ def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform
             else:
                 rec["hyvarinen_divergence"] = float(np.max(gap / (1.0 + np.abs(delta_x))))
             for scale_tag, delta in (("x", delta_x), ("y", delta_y)):
-                d_n = math.fsum(delta)
-                rec[f"d_n_{rule}_{scale_tag}"] = d_n
-                rec[f"chosen_{rule}_{scale_tag}"] = _choose(d_n, config.cutoff, model_a.identifier, model_b.identifier)
+                _decide(rec, f"{rule}_{scale_tag}", delta, config, pair)
             rec[f"d_n_{rule}"] = rec[f"d_n_{rule}_x"]
             rec[f"chosen_{rule}"] = rec[f"chosen_{rule}_x"]
-        records.append(rec)
-    return _finish(config, records)
+
+    return _run(config, Experiment.REPARAMETRISATION, fill)
 
 
 def run_multi_model(config: ExperimentConfig) -> ReplicationResult:
     """Pick among several candidate variances by total sequential score."""
-    _require(config, Experiment.MULTI_MODEL)
     candidates = _multi_model_candidates(config)
     ids = [m.identifier for m in candidates]
-    variances = [config.tau_q2 * f for f in MULTI_MODEL_FACTORS]
-    records = []
-    for rec, x in _replicates(config):
+
+    def fill(rec, x):
         for rule in _RULE_KEYS:
-            kernel = _GAUSSIAN_KERNELS[ScoreRule(rule)]
-            totals = [math.fsum(kernel(x, 0.0, v)) for v in variances]
+            totals = [math.fsum(row) for row in _score_matrix(candidates, x, rule)[1].tolist()]
             rec[f"totals_{rule}"] = totals
             rec[f"chosen_{rule}"] = ids[_argmin(totals)]
-        records.append(rec)
-    return _finish(config, records)
+
+    return _run(config, Experiment.MULTI_MODEL, fill)
 
 
 # --- aggregation and assertions ---------------------------------------------
-
-
-def _finish(config: ExperimentConfig, records: list[dict]) -> ReplicationResult:
-    aggregates = aggregates_for(config, records)
-    return ReplicationResult(config, records, aggregates, assertions_for(config, aggregates, records))
 
 
 def aggregates_for(config: ExperimentConfig, records: Sequence[dict]) -> dict:
@@ -532,22 +502,20 @@ def aggregates_for(config: ExperimentConfig, records: Sequence[dict]) -> dict:
     e = config.experiment
     agg: dict = {"replicates": len(records)}
     if e is Experiment.VARIANCE_EXPECTATION:
-        model_a, model_b = _variance_pair(config)
         agg["theory_log"] = expected_log_delta(config.xi)
         agg["theory_hyvarinen"] = expected_hyvarinen_delta(config.xi, config.tau_q2)
         for rule in _RULE_KEYS:
             mean, se, n_total = _pooled_mean_se(records, f"d_n_{rule}", f"sum_sq_delta_{rule}")
             agg[f"mean_delta_{rule}"] = mean
             agg[f"se_{rule}"] = se
-            agg[f"selection_frequency_{rule}"] = _selection_frequency(records, f"chosen_{rule}", model_a.identifier)
+            agg[f"selection_frequency_{rule}"] = _selection_frequency(records, f"chosen_{rule}", _true_model(config).identifier)
         agg["n_total"] = sum(rec["n"] for rec in records)
     elif e is Experiment.MEAN_LINKAGE:
         agg["ratio"] = 2.0 / config.tau_q2
         agg["max_linkage_gap"] = _max_key(records, "max_linkage_gap")
         agg["selections_agree_frequency"] = _selection_frequency(records, "selections_agree", True)
     elif e is Experiment.CONSISTENCY:
-        model_a, model_b = _variance_pair(config)
-        true_id = model_a.identifier if config.truth == "P" else model_b.identifier
+        true_id = _true_model(config).identifier
         grid = config.resolved_n_grid()
         agg["n_grid"] = list(grid)
         agg["true_model"] = true_id

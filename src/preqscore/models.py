@@ -66,6 +66,14 @@ class PredictiveModel:
         """Conditional law of observation ``len(history) + 1`` given the history."""
         raise NotImplementedError
 
+    def gaussian_predictives(self, x: np.ndarray):
+        """``(k, means, variance)``: for observations k+1..n of the validated
+        series ``x`` the predictive is N(means, variance), bit for bit equal to
+        ``predictive_at(x[:i])``; ``means`` is a float or holds n - k entries.
+        The prequential fold scores those observations as arrays.  The default,
+        None, leaves every step to ``predictive_at``."""
+        return None
+
     def __repr__(self):
         return f"<{type(self).__name__} {self.identifier}>"
 
@@ -75,16 +83,24 @@ def _check_history(history) -> np.ndarray:
     h = np.asarray(history, dtype=float)
     if h.ndim != 1:
         raise ValueError(f"observations must be one-dimensional, got shape {h.shape}")
-    if h.size and not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         i = int(np.flatnonzero(~np.isfinite(h))[0]) + 1
         raise NonFiniteValue(f"observation {i} is {float(h[i - 1])!r}; observations must be finite", index=i)
     return h
+
+
+def _require_finite(**params: float) -> None:
+    """Reject a NaN or infinite model parameter when the model is built, naming it."""
+    for name, value in params.items():
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{name} must be finite, got {float(value)!r}")
 
 
 class IIDGaussianModel(PredictiveModel):
     """Fully specified model: every predictive is the same normal law."""
 
     def __init__(self, mean: float, variance: float, identifier: str | None = None):
+        _require_finite(mean=mean, variance=variance)
         if not variance > 0:
             raise NonPositiveVariance(f"variance must be positive, got {variance}")
         self.mean = float(mean)
@@ -94,6 +110,9 @@ class IIDGaussianModel(PredictiveModel):
     def predictive_at(self, history) -> GaussianPredictive:
         _check_history(history)
         return GaussianPredictive(self.mean, self.variance)
+
+    def gaussian_predictives(self, x):
+        return 0, self.mean, self.variance
 
 
 class FlatPriorLocationModel(PredictiveModel):
@@ -105,6 +124,7 @@ class FlatPriorLocationModel(PredictiveModel):
     """
 
     def __init__(self, variance: float, identifier: str | None = None):
+        _require_finite(variance=variance)
         if not variance > 0:
             raise NonPositiveVariance(f"variance must be positive, got {variance}")
         self.variance = float(variance)
@@ -135,6 +155,7 @@ class FlatPriorScaleModel(PredictiveModel):
     """
 
     def __init__(self, mean: float, identifier: str | None = None):
+        _require_finite(mean=mean)
         self.mean = float(mean)
         self.identifier = identifier or f"flatscale({self.mean})"
 

@@ -11,6 +11,14 @@ gradient-based rule a model may emit improper predictives (flat-prior
 models do, early on) and still be compared; under the log rule the same
 model raises at the offending observation.
 
+Every score row, for traces, selections and the experiment runners, comes
+from one fold with two scorers: a scalar loop over observations, and an
+array scorer for models whose predictives from some step on are normal laws
+known in advance as arrays (iid normal models; AR(p) models after step p).
+Both apply the same kernels to the same floats, so they agree bit for bit.
+A non-finite score in the array scorer sends every row back to the loop,
+which raises its usual, located error.
+
 Cumulative sums use compensated (Kahan) summation: D_n drives decisions,
 and plain running sums can drift enough to flip a sign near the cutoff.
 """
@@ -28,7 +36,7 @@ import numpy as np
 
 from .errors import EmptyTrace, NonFiniteValue, PreqscoreError
 from .models import PredictiveModel, _check_history
-from .scores import ScaledRule, ScoreRule, as_rule, score_predictive
+from .scores import _GAUSSIAN_KERNELS, ScaledRule, ScoreRule, as_rule, score_predictive
 
 __all__ = [
     "TIE",
@@ -112,18 +120,22 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
     """Score every observation prequentially under every model.
 
     Returns the validated data, the (models, observations) score matrix and
-    the coerced rule.  Observations are visited in order and, at each one,
-    the models in list order.  A failure is re-raised with the model and the
-    1-based index of the offending observation attached; arithmetic failures
-    and non-finite scores become :class:`NonFiniteValue`.
+    the coerced rule.  Row tails filled by :func:`_array_rows` are skipped;
+    the scalar loop scores the rest, visiting observations in order and, at
+    each one, the models in list order.  A failure is re-raised with the
+    model and the 1-based index of the offending observation attached;
+    arithmetic failures and non-finite scores become :class:`NonFiniteValue`.
     """
     r = as_rule(rule)
     x = _check_history(data)
-    scores = np.empty((len(models), x.size))
-    for i in range(x.size):
+    scores = np.zeros((len(models), x.size))
+    ends = _array_rows(models, x, r, scores)
+    for i in range(max(ends, default=0)):
         history = x[:i]
         xi = float(x[i])
         for m, model in enumerate(models):
+            if i >= ends[m]:
+                continue
             try:
                 value = score_predictive(xi, model.predictive_at(history), r).value
                 if not math.isfinite(value):
@@ -134,6 +146,32 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
                 raise _located(e, model, i) from e
             scores[m, i] = value
     return x, scores, r
+
+
+def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule, scores: np.ndarray) -> list[int]:
+    """Fill each row tail of the zero matrix ``scores`` that a model's
+    :meth:`~PredictiveModel.gaussian_predictives` covers.
+
+    Returns, per model, the number of leading observations left to the
+    scalar loop; all of them for every model after a non-finite score or an
+    arithmetic failure.
+    """
+    scalar = [x.size] * len(models)
+    kernel = _GAUSSIAN_KERNELS.get(r.base)
+    if kernel is None:
+        return scalar
+    ends = scalar.copy()
+    try:
+        with np.errstate(all="ignore"):
+            for m, model in enumerate(models):
+                tail = model.gaussian_predictives(x)
+                if tail is not None:
+                    k, means, variance = tail
+                    np.multiply(r.scale, kernel(x[k:], means, variance), out=scores[m, k:])
+                    ends[m] = k
+    except ArithmeticError:
+        return scalar
+    return ends if np.isfinite(scores).all() else scalar
 
 
 def _located(e: PreqscoreError, model: PredictiveModel, i: int) -> PreqscoreError:

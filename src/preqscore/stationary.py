@@ -26,8 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NonPositiveVariance, NonStationary, NotPositiveDefinite
-from .models import PredictiveModel, _check_history
+from .errors import NonFiniteValue, NonPositiveVariance, NonStationary, NotPositiveDefinite
+from .models import PredictiveModel, _check_history, _require_finite
 from .scores import GaussianPredictive
 from .streams import stream
 
@@ -61,6 +61,7 @@ class StationaryProcessSpec:
         label: str = "process",
         ar: tuple[Sequence[float], float] | None = None,
     ):
+        _require_finite(mean=mean)
         self.mean = float(mean)
         self._autocov = autocov
         self.label = label
@@ -157,6 +158,7 @@ def ar_process(
     white noise.
     """
     phis = np.asarray(coefficients, dtype=float)
+    _require_finite(innovation_variance=innovation_variance)
     if not innovation_variance > 0:
         raise NonPositiveVariance(f"innovation variance must be positive, got {innovation_variance}")
     if not np.all(np.isfinite(phis)):
@@ -195,8 +197,11 @@ def ma_process(
 ) -> StationaryProcessSpec:
     """Moving-average process: gamma(k) = s^2 sum_j theta_j theta_{j+k}, theta_0 = 1."""
     thetas = np.asarray(coefficients, dtype=float)
+    _require_finite(innovation_variance=innovation_variance)
     if not innovation_variance > 0:
         raise NonPositiveVariance(f"innovation variance must be positive, got {innovation_variance}")
+    if not np.all(np.isfinite(thetas)):
+        raise NonFiniteValue(f"MA coefficients must be finite, got {thetas.tolist()}")
     full = np.concatenate(([1.0], thetas))
     q = thetas.size
     label = f"ma({','.join(repr(float(c)) for c in thetas)};{float(innovation_variance)})"
@@ -210,6 +215,7 @@ def ma_process(
 
 
 def white_noise(variance: float, mean: float = 0.0) -> StationaryProcessSpec:
+    _require_finite(variance=variance)
     if not variance > 0:
         raise NonPositiveVariance(f"variance must be positive, got {variance}")
     return StationaryProcessSpec(
@@ -240,8 +246,11 @@ class StationaryProcessModel(PredictiveModel):
     """Adapter exposing a stationary process as a predictive model.
 
     AR(p) specs predict with their lag filter once the history holds p
-    values.  Otherwise the recursion table grows lazily to the longest history
-    seen, so build it single-threaded before any concurrent reads.
+    values, and hand those predictives to the prequential fold as arrays
+    (:meth:`gaussian_predictives`), which scores them in one kernel call.
+    The first p steps, and every step of other processes, come from the
+    recursion table, which grows lazily to the longest history seen, so build
+    it single-threaded before any concurrent reads.
     """
 
     def __init__(self, spec: StationaryProcessSpec, identifier: str | None = None):
@@ -259,6 +268,17 @@ class StationaryProcessModel(PredictiveModel):
             return GaussianPredictive(mean + deviation, ar[1])
         st = self._recursion.state(h.size + 1)
         return GaussianPredictive(st.conditional_mean(h, mean), st.conditional_variance)
+
+    def gaussian_predictives(self, x):
+        ar = self.spec.ar
+        if ar is None or x.size <= len(ar[0]):
+            return None
+        phis, variance = ar
+        p, n, mean = len(phis), x.size, self.spec.mean
+        deviation = np.zeros(n - p)  # the lag filter of predictive_at, same order of additions
+        for j, phi in enumerate(phis, start=1):
+            deviation += phi * (x[p - j : n - j] - mean)
+        return p, mean + deviation, variance
 
 
 def process_model(spec: StationaryProcessSpec, identifier: str | None = None) -> PredictiveModel:

@@ -322,7 +322,7 @@ def test_non_finite_data_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "model_a, values",
-    [("iidnorm(0,1)", [1e200]), ("flatscale(0)", [0.0, 1.0])],
+    [("iidnorm(0,1)", [1e200]), ("flatscale(0)", [0.0, 1.0]), ("iidnorm(0,1e160)", [0.5])],
 )
 def test_arithmetic_failure_exits_two_without_traceback(tmp_path, model_a, values):
     write_data(tmp_path / "d.csv", values)
@@ -356,6 +356,21 @@ def test_config_overflow_exits_two_without_traceback(tmp_path, argv, field):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"{field}=" in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [("ar(0.5;inf)", "innovation_variance"), ("ma(nan;1)", "MA coefficients"), ("iidnorm(nan,1)", "mean")],
+)
+def test_non_finite_model_parameter_exits_two(tmp_path, capsys, spec, name):
+    data = write_data(tmp_path / "d.csv", [0.1, 0.7, -0.2])
+    code = run_cli(
+        "trace", "--model-a", spec, "--model-b", "iidnorm(0,2)",
+        "--rule", "log", "--data", str(data), "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert f"{name} must be finite" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

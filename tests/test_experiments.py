@@ -74,6 +74,8 @@ def test_config_accepts_experiment_names():
         dict(tau_q2=1e-170),
         dict(unit_scale=1e200),
         dict(unit_scale=1e-200),
+        dict(outlier_magnitude=math.nan),
+        dict(outlier_magnitude=math.inf),
     ],
 )
 def test_config_validation(kw):
@@ -144,15 +146,20 @@ def test_replicate_data_is_deterministic_and_keyed_by_replicate():
 
 
 def test_vectorized_scores_match_scalar_trace():
-    # The harness scores in bulk; the trace machinery scores one observation
-    # at a time.  Same operations, same rounding, identical bits.
-    c = cfg("variance-expectation", n=100, base_seed=2)
-    x = replicate_data(c, 0)
-    pair = (iid_gaussian_model(0.0, c.tau_p2), iid_gaussian_model(0.0, c.tau_q2))
-    for rule, scorer in (("log", _gaussian_log_score), ("hyvarinen", _gaussian_hyvarinen_score)):
-        vec = scorer(x, 0.0, c.tau_q2) - scorer(x, 0.0, c.tau_p2)
-        tr = delta_trace(*pair, x, rule)
-        np.testing.assert_array_equal(vec, tr.per_step)
+    # The kernels score whole arrays, as the fold's array scorer does; the
+    # scalar scorer takes one observation at a time.  Same operations, same
+    # rounding, identical bits.  n=2000 at seed 0 holds steps where a float's
+    # ``** 2`` (libm pow) and an array's square round differently.
+    for n, seed in ((100, 2), (2000, 0)):
+        c = cfg("variance-expectation", n=n, base_seed=seed)
+        x = replicate_data(c, 0)
+        pair = (iid_gaussian_model(0.0, c.tau_p2), iid_gaussian_model(0.0, c.tau_q2))
+        for rule, scorer in (("log", _gaussian_log_score), ("hyvarinen", _gaussian_hyvarinen_score)):
+            vec = scorer(x, 0.0, c.tau_q2) - scorer(x, 0.0, c.tau_p2)
+            scalar = [scorer(v, 0.0, c.tau_q2) - scorer(v, 0.0, c.tau_p2) for v in x.tolist()]
+            tr = delta_trace(*pair, x, rule)
+            np.testing.assert_array_equal(vec, scalar)
+            np.testing.assert_array_equal(vec, tr.per_step)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from scipy import stats
 from preqscore import (
     ImproperPredictive,
     InsufficientHistory,
+    NonFiniteValue,
     NonPositiveVariance,
     cubic_plus_linear_transform,
     flat_prior_location_model,
@@ -36,6 +37,24 @@ def test_model_identifiers():
     assert flat_prior_scale_model(1.0).identifier == "flatscale(1.0)"
     assert iid_gaussian_model(0.0, 1.0, identifier="custom").identifier == "custom"
     assert "iidnorm" in repr(iid_gaussian_model(0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: iid_gaussian_model(math.nan, 1.0), "mean"),
+        (lambda: iid_gaussian_model(0.0, math.inf), "variance"),
+        (lambda: iid_gaussian_model(-math.inf, 1.0), "mean"),
+        (lambda: flat_prior_location_model(math.inf), "variance"),
+        (lambda: flat_prior_location_model(math.nan), "variance"),
+        (lambda: flat_prior_scale_model(math.nan), "mean"),
+        (lambda: flat_prior_scale_model(math.inf), "mean"),
+    ],
+)
+def test_non_finite_parameters_are_rejected_when_built(build, name):
+    with pytest.raises(NonFiniteValue, match=f"^{name} must be finite") as info:
+        build()
+    assert info.value.index is None
 
 
 def test_history_validation():

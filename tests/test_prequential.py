@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,17 +18,25 @@ from preqscore import (
     InsufficientHistory,
     NonFiniteValue,
     ScoreRule,
+    TransformedModel,
+    ar_process,
     compensated_cumsum,
+    cubic_plus_linear_transform,
     delta_trace,
     flat_prior_location_model,
+    flat_prior_scale_model,
     iid_gaussian_model,
+    ma_process,
+    process_model,
     rescale_rule,
+    score_predictive,
     select,
     select_among,
     stream,
     trace_csv_text,
     write_trace_csv,
 )
+from preqscore.prequential import _score_matrix
 
 A = iid_gaussian_model(0.0, 1.0)
 B = iid_gaussian_model(1.0, 1.0)
@@ -105,13 +114,75 @@ def test_non_finite_data_is_rejected_with_its_index(data, index):
 
 
 def test_arithmetic_failures_become_named_errors():
-    from preqscore import flat_prior_scale_model
-
-    with pytest.raises(NonFiniteValue, match=r"OverflowError.*'iidnorm\(0\.0,1\.0\)', observation 2") as info:
+    with pytest.raises(NonFiniteValue, match=r"score is inf.*'iidnorm\(0\.0,1\.0\)', observation 2") as info:
         delta_trace(A, B, [0.0, 1e200], "hyvarinen")
     assert info.value.index == 2
     with pytest.raises(NonFiniteValue, match=r"ZeroDivisionError.*flatscale\(0\.0\)', observation 1"):
         delta_trace(flat_prior_scale_model(0.0), A, [0.0, 1.0], "hyvarinen")
+
+
+@pytest.mark.parametrize(
+    "data, model, index",
+    [([0.0, 1e200], "flatscale(0.0)", 1), ([1e200], "iidnorm(0.0,1.0)", 1), ([0.5, 1e200], "iidnorm(0.0,1.0)", 2)],
+)
+def test_fold_errors_follow_the_scalar_visiting_order(data, model, index):
+    # iidnorm is scored as an array; its non-finite score at 1e200 must not
+    # preempt an earlier failure of a model that the scalar loop visits first.
+    with pytest.raises(NonFiniteValue, match=rf"model '{re.escape(model)}', observation {index}\)") as info:
+        select_among([A, flat_prior_scale_model(0.0)], data, "hyvarinen")
+    assert info.value.index == index
+
+
+def _scalar_rows(models, x, rule):
+    return [[score_predictive(float(x[i]), m.predictive_at(x[:i]), rule).value for i in range(x.size)] for m in models]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    phis=st.lists(st.integers(min_value=-300, max_value=300).map(lambda v: v / 1000), min_size=1, max_size=3),
+    mean=st.floats(min_value=0.1, max_value=5) | st.floats(min_value=-5, max_value=-0.1),
+    n=st.integers(min_value=0, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32),
+    rule=st.sampled_from(["log", "hyvarinen", rescale_rule("log", 0.3), rescale_rule("hyvarinen", 7.0)]),
+)
+def test_fold_rows_equal_scalar_scores_bitwise(phis, mean, n, seed, rule):
+    # |phi_1| + ... + |phi_p| < 1 keeps every AR(p) here stationary.
+    x = mean + 1.5 * stream(seed, 0).standard_normal(n)
+    models = [iid_gaussian_model(mean, 0.7), process_model(ar_process(phis, 0.8, mean))]
+    _, rows, _ = _score_matrix(models, x, rule)
+    np.testing.assert_array_equal(rows, np.reshape(_scalar_rows(models, x, rule), (2, n)))
+    tail = models[1].gaussian_predictives(x)
+    if n > len(phis):
+        k, means, _ = tail
+        assert k == len(phis)
+        assert means.tolist() == [models[1].predictive_at(x[:i]).mean for i in range(k, n)]
+    else:
+        assert tail is None
+
+
+PREFIX_MODELS = {
+    "iidnorm": lambda: iid_gaussian_model(0.3, 1.2),
+    "flatloc": lambda: flat_prior_location_model(1.0),
+    "flatscale": lambda: flat_prior_scale_model(0.0),
+    "ar": lambda: process_model(ar_process([0.5, -0.2], 1.0, 0.4)),
+    "ma": lambda: process_model(ma_process([0.4], 1.0)),
+    "transformed": lambda: TransformedModel(flat_prior_location_model(1.0), cubic_plus_linear_transform()),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PREFIX_MODELS)),
+    k=st.integers(min_value=0, max_value=25),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_trace_of_a_prefix_is_the_prefix_of_the_trace(kind, k, seed):
+    x = stream(seed, 0).standard_normal(25)
+    pair = (PREFIX_MODELS[kind](), A)
+    full = delta_trace(*pair, x, "hyvarinen")
+    prefix = delta_trace(*pair, x[:k], "hyvarinen")
+    for field in ("per_step", "cumulative", "scores_a", "scores_b"):
+        np.testing.assert_array_equal(getattr(prefix, field), getattr(full, field)[:k])
 
 
 def test_select_semantics():

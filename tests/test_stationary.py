@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from preqscore import (
+    NonFiniteValue,
     NonPositiveVariance,
     NonStationary,
     NotPositiveDefinite,
@@ -145,6 +146,25 @@ def test_process_validation():
         ma_process([0.5], -1.0)
     with pytest.raises(NonPositiveVariance):
         white_noise(0.0)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: ar_process([0.5], math.inf), "innovation_variance"),
+        (lambda: ar_process([0.5], math.nan), "innovation_variance"),
+        (lambda: ar_process([0.5], 1.0, mean=math.nan), "mean"),
+        (lambda: ma_process([0.4], math.inf), "innovation_variance"),
+        (lambda: ma_process([math.inf], 1.0), "MA coefficients"),
+        (lambda: ma_process([0.4], 1.0, mean=-math.inf), "mean"),
+        (lambda: white_noise(math.inf), "variance"),
+        (lambda: white_noise(1.0, mean=math.nan), "mean"),
+    ],
+)
+def test_non_finite_process_parameters_are_rejected_when_built(build, name):
+    with pytest.raises(NonFiniteValue, match=f"^{name} must be finite") as info:
+        build()
+    assert info.value.index is None
 
 
 def test_ar_process_with_no_coefficients_is_white_noise():
