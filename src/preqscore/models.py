@@ -7,9 +7,9 @@ priors.  The latter are the interesting case: their early predictives are
 improper, which breaks the log score but not gradient-based scoring.
 
 Predictives are full Bayesian (parameters integrated out), not plug-in.
-Histories are passed explicitly and evaluation is stateless; sufficient
-statistics are reduced with ``math.fsum`` so that any permutation of an
-exchangeable history yields bit-identical predictives.
+Models hold no mutable state (a pass over a series is the generator
+``predictives``); sufficient statistics are reduced with ``math.fsum`` so that
+any permutation of an exchangeable history yields bit-identical predictives.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ class StudentTPredictive:
 
 
 class PredictiveModel:
-    """Base class: immutable after construction, pure ``predictive_at``."""
+    """Base class: immutable after construction.  A subclass defines ``predictive_at``,
+    and ``predictives`` too when it carries state through a series."""
 
     identifier: str
 
@@ -66,12 +67,19 @@ class PredictiveModel:
         """Conditional law of observation ``len(history) + 1`` given the history."""
         raise NotImplementedError
 
+    def predictives(self, x: np.ndarray):
+        """Predictives of observations 1..n+1 of the validated series ``x``, each
+        equal to ``predictive_at`` of the observations before it; ``x[i]`` is read
+        only after the (i+1)-th is yielded.  Each call is a fresh pass."""
+        for i in range(x.size + 1):
+            yield self.predictive_at(x[:i])
+
     def gaussian_predictives(self, x: np.ndarray):
         """``(k, means, variance)``: for observations k+1..n of the validated
         series ``x`` the predictive is N(means, variance), bit for bit equal to
         ``predictive_at(x[:i])``; ``means`` is a float or holds n - k entries.
         The prequential fold scores those observations as arrays.  The default,
-        None, leaves every step to ``predictive_at``."""
+        None, leaves every step to ``predictives``."""
         return None
 
     def __repr__(self):

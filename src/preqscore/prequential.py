@@ -12,9 +12,9 @@ models do, early on) and still be compared; under the log rule the same
 model raises at the offending observation.
 
 Every score row, for traces, selections and the experiment runners, comes
-from one fold with two scorers: a scalar loop over observations, and an
-array scorer for models whose predictives from some step on are normal laws
-known in advance as arrays (iid normal models; AR(p) models after step p).
+from one fold with two scorers: a scalar loop over each model's predictives
+pass, and an array scorer for models whose predictives from some step on are
+normal laws known in advance as arrays (iid normal; AR(p) after step p).
 Both apply the same kernels to the same floats, so they agree bit for bit.
 A non-finite score in the array scorer sends every row back to the loop,
 which raises its usual, located error.
@@ -121,23 +121,24 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
 
     Returns the validated data, the (models, observations) score matrix and
     the coerced rule.  Row tails filled by :func:`_array_rows` are skipped;
-    the scalar loop scores the rest, visiting observations in order and, at
-    each one, the models in list order.  A failure is re-raised with the
-    model and the 1-based index of the offending observation attached;
-    arithmetic failures and non-finite scores become :class:`NonFiniteValue`.
+    the scalar loop scores the rest from one ``predictives`` pass per model,
+    visiting observations in order and, at each one, the models in list
+    order.  A failure is re-raised with the model and the 1-based index of
+    the offending observation attached; arithmetic failures and non-finite
+    scores become :class:`NonFiniteValue`.
     """
     r = as_rule(rule)
     x = _check_history(data)
     scores = np.zeros((len(models), x.size))
     ends = _array_rows(models, x, r, scores)
+    folds = [model.predictives(x) for model in models]
     for i in range(max(ends, default=0)):
-        history = x[:i]
         xi = float(x[i])
         for m, model in enumerate(models):
             if i >= ends[m]:
                 continue
             try:
-                value = score_predictive(xi, model.predictive_at(history), r).value
+                value = score_predictive(xi, next(folds[m]), r).value
                 if not math.isfinite(value):
                     raise NonFiniteValue(f"score is {value!r}", index=i + 1)
             except ArithmeticError as e:

@@ -1,10 +1,10 @@
 """One-step prediction for covariance-stationary Gaussian processes.
 
 A process is specified by its constant mean and autocovariance sequence
-``gamma(k)``.  The Durbin-Levinson recursion turns the autocovariances into
-the exact conditional law of each observation given all earlier ones:
-projection coefficients plus the conditional variance ``v_i`` of X_i given
-(X_1, ..., X_{i-1}).
+``gamma(k)``.  One forward Durbin-Levinson pass per series turns the
+autocovariances into the exact conditional law of each observation given all
+earlier ones: projection coefficients plus the conditional variance ``v_i``
+of X_i given (X_1, ..., X_{i-1}).
 
 The conditional variance is the point of this module: it is constant in i
 only for special processes.  For an AR(p) process it is the innovation
@@ -20,6 +20,8 @@ score comparisons downstream.
 
 from __future__ import annotations
 
+import collections
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -68,10 +70,13 @@ class StationaryProcessSpec:
         self.ar = None if ar is None else (tuple(float(c) for c in ar[0]), float(ar[1]))
 
     def gamma(self, k: int) -> float:
-        """Autocovariance at lag k >= 0."""
+        """Autocovariance at lag k >= 0; :class:`NonFiniteValue` unless it is finite."""
         if k < 0:
             raise ValueError(f"lag must be nonnegative, got {k}")
-        return float(self._autocov(k))
+        value = float(self._autocov(k))
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"gamma({k}) of process {self.label!r} is {value!r}; it must be finite")
+        return value
 
     def __repr__(self):
         return f"<StationaryProcessSpec {self.label}>"
@@ -96,40 +101,32 @@ class PredictionRecursionState:
         return process_mean + float(np.dot(self.coefficients, h - process_mean))
 
 
-class _DurbinLevinson:
-    """Incremental Durbin-Levinson recursion with append-only state."""
-
-    def __init__(self, spec: StationaryProcessSpec):
-        self.spec = spec
-        self._states: list[PredictionRecursionState] = []
-        # gamma(0..len(states)-1), one lag evaluated per step; capacity doubles
-        self._gam: np.ndarray = np.empty(16)
-
-    def state(self, i: int) -> PredictionRecursionState:
-        while len(self._states) < i:
-            k = len(self._states)  # have states 1..k; compute state k+1
-            if k == self._gam.size:
-                self._gam = np.concatenate((self._gam, np.empty(k)))
-            self._gam[k] = self.spec.gamma(k)
-            if k == 0:
-                g0 = float(self._gam[0])
-                if not g0 > 0:
-                    raise NotPositiveDefinite(1, f"gamma(0) = {g0} is not positive")
-                self._states.append(PredictionRecursionState(1, np.empty(0), g0))
-                continue
-            prev = self._states[-1]  # phi in recency order: weight on most recent first
-            phi, v = prev.coefficients[::-1], prev.conditional_variance
+def _durbin_levinson(spec: StationaryProcessSpec):
+    """For i = 1, 2, ...: the weights of X_i on (X_1, ..., X_{i-1}), in history
+    order, and v_i.  Keeps only the current weights; step i reads gamma(i - 1)."""
+    gam = np.empty(16)  # gamma(0..k), one lag evaluated per step; capacity doubles
+    for k in itertools.count():
+        if k == gam.size:
+            gam = np.concatenate((gam, np.empty(k)))
+        gam[k] = spec.gamma(k)
+        if k == 0:
+            v = float(gam[0])
+            if not v > 0:
+                raise NotPositiveDefinite(1, f"gamma(0) = {v} is not positive")
+            coefficients = np.empty(0)
+        else:
+            phi = coefficients[::-1]  # recency order: weight on most recent first
             # numerator of the reflection coefficient: gamma(k) - sum_j phi_j gamma(k-1-j)
-            a = float(self._gam[k]) - float(np.dot(phi, self._gam[k - 1 : 0 : -1]))
+            a = float(gam[k]) - float(np.dot(phi, gam[k - 1 : 0 : -1]))
             refl = a / v
             new_phi = np.empty(k)
             new_phi[: k - 1] = phi - refl * phi[::-1]
             new_phi[k - 1] = refl
-            new_v = v * (1.0 - refl * refl)
-            if not new_v > 0:
+            v = v * (1.0 - refl * refl)
+            if not v > 0:
                 raise NotPositiveDefinite(k + 1)
-            self._states.append(PredictionRecursionState(k + 1, new_phi[::-1].copy(), new_v))
-        return self._states[i - 1]
+            coefficients = new_phi[::-1].copy()
+        yield coefficients, v
 
 
 def durbin_levinson(spec: StationaryProcessSpec, n: int) -> list[PredictionRecursionState]:
@@ -142,8 +139,7 @@ def durbin_levinson(spec: StationaryProcessSpec, n: int) -> list[PredictionRecur
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rec = _DurbinLevinson(spec)
-    return [rec.state(i) for i in range(1, n + 1)]
+    return [PredictionRecursionState(i, c, v) for i, (c, v) in zip(range(1, n + 1), _durbin_levinson(spec))]
 
 
 def ar_process(
@@ -167,10 +163,12 @@ def ar_process(
     label = f"ar({','.join(repr(float(c)) for c in phis)};{float(innovation_variance)})"
     if p == 0:
         return white_noise(innovation_variance, mean)
-    # roots of 1 - phi_1 z - ... - phi_p z^p
-    roots = np.roots(np.concatenate(([1.0], -phis))[::-1])
-    if np.any(np.abs(roots) <= 1.0 + 1e-12):
-        raise NonStationary(f"AR polynomial has a root of modulus {np.min(np.abs(roots))} <= 1")
+    phi = phis.tolist()  # step-down (Schur-Cohn): stationary iff every |kappa_k| < 1
+    for k in range(p, 0, -1):
+        kappa = phi[k - 1]
+        if not abs(kappa) < 1.0 - 1e-12:
+            raise NonStationary(f"AR polynomial is not stationary: partial autocorrelation kappa_{k} = {kappa!r}")
+        phi = [(phi[j] + kappa * phi[k - 2 - j]) / (1.0 - kappa * kappa) for j in range(k - 1)]
 
     # Solve for gamma(0..p): gamma(k) - sum_j phi_j gamma(|k-j|) = s^2 * [k == 0]
     a = np.eye(p + 1)
@@ -209,7 +207,8 @@ def ma_process(
     def autocov(k: int) -> float:
         if k > q:
             return 0.0
-        return innovation_variance * float(np.dot(full[: q + 1 - k], full[k:]))
+        with np.errstate(over="ignore"):  # an overflow is reported by gamma, naming the lag
+            return innovation_variance * float(np.dot(full[: q + 1 - k], full[k:]))
 
     return StationaryProcessSpec(mean, autocov, label=label)
 
@@ -233,11 +232,9 @@ def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int =
     x_i = predictive mean + sqrt(predictive variance) * z_i, with the z_i
     read from the counter-based stream keyed by ``(seed, substream)``.
     """
-    model = StationaryProcessModel(spec)
     z = stream(seed, substream).standard_normal(n)
     x = np.empty(n)
-    for i in range(n):
-        q = model.predictive_at(x[:i])
+    for i, q in zip(range(n), StationaryProcessModel(spec).predictives(x)):
         x[i] = q.mean + math.sqrt(q.variance) * z[i]
     return x
 
@@ -245,29 +242,34 @@ def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int =
 class StationaryProcessModel(PredictiveModel):
     """Adapter exposing a stationary process as a predictive model.
 
-    AR(p) specs predict with their lag filter once the history holds p
-    values, and hand those predictives to the prequential fold as arrays
+    :meth:`predictives` is one forward Durbin-Levinson pass over the series,
+    holding only the current weight vector, so each pass repeats the
+    recursion.  AR(p) specs switch to their lag filter once the history holds
+    p values, and hand those predictives to the prequential fold as arrays
     (:meth:`gaussian_predictives`), which scores them in one kernel call.
-    The first p steps, and every step of other processes, come from the
-    recursion table, which grows lazily to the longest history seen, so build
-    it single-threaded before any concurrent reads.
     """
 
     def __init__(self, spec: StationaryProcessSpec, identifier: str | None = None):
         self.spec = spec
         self.identifier = identifier or spec.label
-        self._recursion = _DurbinLevinson(spec)
+
+    def predictives(self, x):
+        mean, ar = self.spec.mean, self.spec.ar
+        # the recursion serves every step of a general process, the first p of an AR(p)
+        p = x.size + 1 if ar is None else min(len(ar[0]), x.size + 1)
+        for i, (coefficients, v) in zip(range(p), _durbin_levinson(self.spec)):
+            yield GaussianPredictive(mean + float(np.dot(coefficients, x[:i] - mean)), v)
+        for i in range(p, x.size + 1):
+            deviation = 0.0  # sum_j phi_j (x_{i-j} - mean), in Python floats: p is small
+            for phi, xj in zip(ar[0], reversed(x[i - p : i].tolist())):
+                deviation += phi * (xj - mean)
+            yield GaussianPredictive(mean + deviation, ar[1])
 
     def predictive_at(self, history) -> GaussianPredictive:
         h = _check_history(history)
-        mean, ar = self.spec.mean, self.spec.ar
-        if ar is not None and h.size >= len(ar[0]):
-            deviation = 0.0  # sum_j phi_j (x_{i-j} - mean), in Python floats: p is small
-            for phi, x in zip(ar[0], reversed(h[h.size - len(ar[0]) :].tolist())):
-                deviation += phi * (x - mean)
-            return GaussianPredictive(mean + deviation, ar[1])
-        st = self._recursion.state(h.size + 1)
-        return GaussianPredictive(st.conditional_mean(h, mean), st.conditional_variance)
+        if self.spec.ar is not None:  # an AR(p) predictive depends on the last p values alone
+            h = h[max(h.size - len(self.spec.ar[0]), 0) :]
+        return collections.deque(self.predictives(h), maxlen=1).pop()
 
     def gaussian_predictives(self, x):
         ar = self.spec.ar
@@ -275,7 +277,7 @@ class StationaryProcessModel(PredictiveModel):
             return None
         phis, variance = ar
         p, n, mean = len(phis), x.size, self.spec.mean
-        deviation = np.zeros(n - p)  # the lag filter of predictive_at, same order of additions
+        deviation = np.zeros(n - p)  # the lag filter of predictives, same order of additions
         for j, phi in enumerate(phis, start=1):
             deviation += phi * (x[p - j : n - j] - mean)
         return p, mean + deviation, variance

@@ -8,14 +8,16 @@ results cannot depend on execution order or parallel scheduling.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 __all__ = ["stream"]
 
-_MASK64 = (1 << 64) - 1
-
 
 def stream(seed: int, substream: int = 0) -> np.random.Generator:
-    """Generator for the Philox stream keyed by (seed, substream)."""
-    key = np.array([seed & _MASK64, substream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Generator for the Philox stream keyed by (seed, substream), each an integer in [0, 2**64)."""
+    for name, value in (("seed", seed), ("substream", substream)):
+        if not 0 <= operator.index(value) < 2**64:
+            raise ValueError(f"{name} must lie in [0, 2**64), got {value!r}")
+    return np.random.Generator(np.random.Philox(key=np.array([seed, substream], dtype=np.uint64)))

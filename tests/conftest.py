@@ -1,3 +1,4 @@
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -5,6 +6,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(scope="session")
+def cli_env():
+    """Environment for ``python -m preqscore`` subprocesses: this tree's ``src`` first on PYTHONPATH."""
+    path = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
 
 
 @pytest.fixture

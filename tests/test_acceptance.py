@@ -217,7 +217,7 @@ def test_criterion_8_improper_prior_viability(criterion_line):
             delta_trace(flat, fixed, data, "log")
 
 
-def test_criterion_9_cli_reproducibility(criterion_line, tmp_path):
+def test_criterion_9_cli_reproducibility(criterion_line, tmp_path, cli_env):
     with criterion_line("criterion 9: CLI reproducibility"):
         def run(out):
             cmd = [
@@ -226,7 +226,7 @@ def test_criterion_9_cli_reproducibility(criterion_line, tmp_path):
                 "--n", "400", "--reps", "5", "--seed", "5", "--keep-reps",
                 "--out", str(out),
             ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=cli_env)
             assert proc.returncode == 0, proc.stderr
             return proc
 

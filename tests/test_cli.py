@@ -324,7 +324,7 @@ def test_non_finite_data_exits_two(tmp_path, capsys):
     "model_a, values",
     [("iidnorm(0,1)", [1e200]), ("flatscale(0)", [0.0, 1.0]), ("iidnorm(0,1e160)", [0.5])],
 )
-def test_arithmetic_failure_exits_two_without_traceback(tmp_path, model_a, values):
+def test_arithmetic_failure_exits_two_without_traceback(tmp_path, cli_env, model_a, values):
     write_data(tmp_path / "d.csv", values)
     proc = subprocess.run(
         [
@@ -334,10 +334,28 @@ def test_arithmetic_failure_exits_two_without_traceback(tmp_path, model_a, value
         ],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert "observation 1" in proc.stderr
+
+
+def test_overflowing_autocovariance_exits_two_without_warning(tmp_path, cli_env):
+    write_data(tmp_path / "d.csv", [0.1, 0.5])
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "preqscore",
+            "trace", "--model-a", "ma(1e200;1)", "--model-b", "iidnorm(0,1)",
+            "--rule", "log", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o"),
+        ],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+    )
+    assert proc.returncode == 2
+    assert "gamma(0)" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -347,11 +365,12 @@ def test_arithmetic_failure_exits_two_without_traceback(tmp_path, model_a, value
         (("unit-change", "--unit-scale", "1e200", "--n", "50", "--reps", "2"), "unit_scale"),
     ],
 )
-def test_config_overflow_exits_two_without_traceback(tmp_path, argv, field):
+def test_config_overflow_exits_two_without_traceback(tmp_path, cli_env, argv, field):
     proc = subprocess.run(
         [sys.executable, "-m", "preqscore", "experiment", *argv, "--out", str(tmp_path / "o")],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
@@ -385,7 +404,7 @@ def test_trace_non_finite_cutoff_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_module_entry_point(tmp_path):
+def test_module_entry_point(tmp_path, cli_env):
     data = write_data(tmp_path / "d.csv", [0.1, 0.7, -0.2])
     proc = subprocess.run(
         [
@@ -395,6 +414,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "chosen:" in proc.stdout

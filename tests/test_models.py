@@ -9,17 +9,19 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from preqscore import (
+    GaussianPredictive,
     ImproperPredictive,
     InsufficientHistory,
     NonFiniteValue,
     NonPositiveVariance,
     cubic_plus_linear_transform,
+    delta_trace,
     flat_prior_location_model,
     flat_prior_scale_model,
     iid_gaussian_model,
     score_predictive,
 )
-from preqscore.models import StudentTPredictive, TransformedModel
+from preqscore.models import PredictiveModel, StudentTPredictive, TransformedModel
 
 from oracles import fd_first, fd_second, location_predictive_pdf, scale_predictive_pdf
 
@@ -212,3 +214,36 @@ def test_transformed_model_identifier_and_helper():
     assert wrapped.identifier == "cubic_plus_linear:iidnorm(0.0,1.0)"
     q = wrapped.predictive_at([])
     assert q.proper
+
+
+def test_flat_scale_predictives_after_a_zero_then_a_nonzero_observation():
+    # A fold of these models must keep the prefix [0.0, x] proper: only an all-zero history is improper.
+    q = flat_prior_scale_model(0.0).predictive_at([0.0, 1.0])
+    assert isinstance(q, StudentTPredictive) and q.dof == 2.0
+    assert TransformedModel(flat_prior_scale_model(0.0), cubic_plus_linear_transform()).predictive_at([0.0, 2.0]).proper
+
+
+# ---------------------------------------------------------------------------
+# The base class fold
+# ---------------------------------------------------------------------------
+
+
+def test_default_fold_calls_predictive_at_on_each_prefix():
+    class LastValue(PredictiveModel):
+        identifier = "last-value"
+
+        def predictive_at(self, history):
+            return GaussianPredictive(float(history[-1]) if len(history) else 0.0, 1.0)
+
+    x = np.array([0.3, -1.2, 2.0])
+    assert list(LastValue().predictives(x)) == [LastValue().predictive_at(x[:i]) for i in range(4)]
+
+
+def test_model_without_predictive_at_is_not_implemented():
+    class Blank(PredictiveModel):
+        identifier = "blank"
+
+    with pytest.raises(NotImplementedError):
+        Blank().predictive_at([])
+    with pytest.raises(NotImplementedError):
+        delta_trace(Blank(), iid_gaussian_model(0.0, 1.0), [0.1], "log")

@@ -139,7 +139,7 @@ def _scalar_rows(models, x, rule):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    phis=st.lists(st.integers(min_value=-300, max_value=300).map(lambda v: v / 1000), min_size=1, max_size=3),
+    phis=st.lists(st.floats(min_value=-0.3, max_value=0.3), min_size=1, max_size=3),
     mean=st.floats(min_value=0.1, max_value=5) | st.floats(min_value=-5, max_value=-0.1),
     n=st.integers(min_value=0, max_value=60),
     seed=st.integers(min_value=0, max_value=2**32),

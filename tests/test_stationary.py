@@ -1,6 +1,8 @@
 """Prediction recursion checks against dense Cholesky/Schur oracles."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from preqscore import (
     ma_process,
     process_model,
     sample_path,
+    stream,
     white_noise,
 )
 from preqscore.stationary import Ar1MarkovModel, StationaryProcessSpec
@@ -167,6 +170,28 @@ def test_non_finite_process_parameters_are_rejected_when_built(build, name):
     assert info.value.index is None
 
 
+@pytest.mark.parametrize(
+    "phis, k",
+    [([1.0], 1), ([0.5, 0.5], 1), ([1.2], 1), ([0.0, 0.0, 1.0], 3), ([0.9999999999999], 1)],
+    ids=["unit", "unit-ar2", "explosive", "unit-ar3", "inside-margin"],
+)
+def test_non_stationary_ar_names_the_partial_autocorrelation(phis, k):
+    with pytest.raises(NonStationary, match=rf"kappa_{k} = "):
+        ar_process(phis, 1.0)
+
+
+def test_ar_process_accepts_a_tiny_last_coefficient():
+    # A root finder reads this polynomial as one with a root at 0 and rejected it.
+    spec = ar_process([0.0, 0.25, 1.975e-235], 0.8)
+    assert spec.gamma(0) == pytest.approx(0.8 / (1.0 - 0.25**2), rel=1e-14)
+
+
+def test_non_finite_autocovariance_is_named_and_located():
+    spec = StationaryProcessSpec(0.0, lambda k: 1.0 if k == 0 else math.nan, label="nan-lag")
+    with pytest.raises(NonFiniteValue, match=r"^gamma\(1\) of process 'nan-lag' is nan.*observation 2\)$"):
+        delta_trace(process_model(spec), iid_gaussian_model(0.0, 1.0), [0.1, 0.2, 0.3], "log")
+
+
 def test_ar_process_with_no_coefficients_is_white_noise():
     spec = ar_process([], 2.5)
     assert spec.gamma(0) == 2.5
@@ -190,6 +215,34 @@ def test_sample_path_is_deterministic_and_keyed():
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, sample_path(spec, 64, seed=8))
     assert not np.array_equal(a, sample_path(spec, 64, seed=7, substream=1))
+
+
+@pytest.mark.parametrize(
+    "draw, name",
+    [
+        (lambda: stream(-1), "seed"),
+        (lambda: stream(2**64), "seed"),
+        (lambda: stream(0, -1), "substream"),
+        (lambda: stream(0, 2**64), "substream"),
+        (lambda: sample_path(ar_process([0.5], 1.0), 8, seed=-1), "seed"),
+    ],
+    ids=["seed-negative", "seed-2**64", "substream-negative", "substream-2**64", "sample_path-seed-negative"],
+)
+def test_stream_keys_outside_64_bits_are_rejected(draw, name):
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 2\*\*64\)"):
+        draw()
+
+
+@pytest.mark.parametrize(
+    "spec, digest",
+    [
+        (ma_process([0.4, 0.3], 1.0, mean=0.5), "4ba066f7edc3b19ccb4caad349c0374319ac0710c7dc98be71950d0ade7d55d9"),
+        (ar_process([0.5, -0.2], 1.0, mean=0.5), "b2ddf86156fa0d69d5217aa790a6d96973c41f66b12c079561c78bf9573cec6e"),
+    ],
+    ids=["ma2", "ar2"],
+)
+def test_sample_path_bytes_are_pinned(spec, digest):
+    assert hashlib.sha256(sample_path(spec, 300, seed=17).tobytes()).hexdigest() == digest
 
 
 def test_sample_path_marginal_moments():
@@ -271,3 +324,41 @@ def test_trace_evaluates_each_lag_once():
     model = process_model(StationaryProcessSpec(0.0, autocov, label="counted-ma1"))
     delta_trace(model, iid_gaussian_model(0.0, 1.0), np.linspace(-1.0, 1.0, 30), "log")
     assert calls == list(range(30))
+
+
+# ---------------------------------------------------------------------------
+# The fold over a series
+# ---------------------------------------------------------------------------
+
+FOLD_SPECS = {  # spec and the number of steps served by the recursion (None: all)
+    "ar2": (ar_process([0.5, -0.2], 1.0, mean=0.4), 2),
+    "ma2": (ma_process([0.4, 0.3], 1.0, mean=0.5), None),
+    "white": (white_noise(1.5), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_SPECS))
+def test_process_fold_equals_predictive_at_and_the_recursion(name):
+    spec, p = FOLD_SPECS[name]
+    model = process_model(spec)
+    x = sample_path(spec, 40, seed=2)
+    fold = list(model.predictives(x))
+    assert len(fold) == 41
+    states = durbin_levinson(spec, 40)
+    for i, q in enumerate(fold):
+        assert q == model.predictive_at(x[:i])
+        if i < 40 and (p is None or i < p):
+            st = states[i]
+            assert (q.mean, q.variance) == (st.conditional_mean(x[:i], spec.mean), st.conditional_variance)
+
+
+def test_ma_trace_keeps_only_the_current_weights():
+    model = process_model(ma_process([0.4], 1.0))
+    x = stream(4, 0).standard_normal(2000)
+    tracemalloc.start()
+    try:
+        delta_trace(model, iid_gaussian_model(0.0, 1.0), x, "log")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
