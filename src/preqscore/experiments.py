@@ -454,8 +454,8 @@ def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform
     t = transform if transform is not None else cubic_plus_linear_transform()
     pair = _variance_pair(config)
     # The y-scale scores apply the density kernels to the pushed-forward laws
-    # directly: a TransformedModel pair would pull the whole history back
-    # through the inverse at every step, which is quadratic in n.
+    # directly: the two pushforwards are built once per replicate, where a
+    # TransformedModel pair would build two per step.
     dens_x = (gaussian_density(0.0, config.tau_p2), gaussian_density(0.0, config.tau_q2))
     dens_y = tuple(pushforward_density(d, t) for d in dens_x)
 

@@ -7,13 +7,18 @@ priors.  The latter are the interesting case: their early predictives are
 improper, which breaks the log score but not gradient-based scoring.
 
 Predictives are full Bayesian (parameters integrated out), not plug-in.
-Models hold no mutable state (a pass over a series is the generator
-``predictives``); sufficient statistics are reduced with ``math.fsum`` so that
-any permutation of an exchangeable history yields bit-identical predictives.
+Models hold no mutable state: a pass over a series is the generator
+``predictives``, and every built-in kind carries O(1) state through it (the
+flat-prior models a list of Shewchuk partials, a transformed model the pulled
+back series), so a pass is O(n).  Sufficient statistics are reduced with
+``math.fsum`` so that any permutation of an exchangeable history yields
+bit-identical predictives; the partials are the ones ``math.fsum`` keeps, so
+a pass and ``predictive_at`` agree bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -93,8 +98,31 @@ def _check_history(history) -> np.ndarray:
         raise ValueError(f"observations must be one-dimensional, got shape {h.shape}")
     if not np.isfinite(h).all():
         i = int(np.flatnonzero(~np.isfinite(h))[0]) + 1
-        raise NonFiniteValue(f"observation {i} is {float(h[i - 1])!r}; observations must be finite", index=i)
+        raise _non_finite(i, h[i - 1])
     return h
+
+
+def _non_finite(i: int, v: float) -> NonFiniteValue:
+    """The error for observation ``i`` (1-based), whose value ``v`` is not finite."""
+    return NonFiniteValue(f"observation {i} is {float(v)!r}; observations must be finite", index=i)
+
+
+def _fsum_add(partials: list, v: float) -> None:
+    """Add ``v`` to the Shewchuk partials in place, as one step of ``math.fsum``
+    (CPython's msum), so ``math.fsum(partials)`` is the fsum of the items added."""
+    i = 0
+    for y in partials:
+        if abs(v) < abs(y):
+            v, y = y, v
+        hi = v + y
+        lo = y - (hi - v)
+        if lo:
+            partials[i] = lo
+            i += 1
+        v = hi
+    if not math.isfinite(v):
+        raise OverflowError("intermediate overflow in fsum")
+    partials[i:] = [v] if v else []
 
 
 def _require_finite(**params: float) -> None:
@@ -118,6 +146,9 @@ class IIDGaussianModel(PredictiveModel):
     def predictive_at(self, history) -> GaussianPredictive:
         _check_history(history)
         return GaussianPredictive(self.mean, self.variance)
+
+    def predictives(self, x):
+        return itertools.repeat(GaussianPredictive(self.mean, self.variance), x.size + 1)
 
     def gaussian_predictives(self, x):
         return 0, self.mean, self.variance
@@ -146,6 +177,13 @@ class FlatPriorLocationModel(PredictiveModel):
         center = math.fsum(h) / n
         return GaussianPredictive(center, self.variance * (1.0 + 1.0 / n))
 
+    def predictives(self, x):
+        yield GaussianPredictive.flat()
+        partials = []
+        for n in range(1, x.size + 1):
+            _fsum_add(partials, float(x[n - 1]))
+            yield GaussianPredictive(math.fsum(partials) / n, self.variance * (1.0 + 1.0 / n))
+
 
 class FlatPriorScaleModel(PredictiveModel):
     """Normal model with known mean and prior density 1/v on the variance.
@@ -169,18 +207,35 @@ class FlatPriorScaleModel(PredictiveModel):
 
     def predictive_at(self, history):
         h = _check_history(history)
-        n = h.size
-        if n == 0:
-            mean = self.mean
-            return DensityWithDerivatives(
-                logpdf=lambda x: -math.log(abs(x - mean)),
-                dlogpdf=lambda x: -1.0 / (x - mean),
-                d2logpdf=lambda x: 1.0 / (x - mean) ** 2,
-                proper=False,
-                smooth=True,
-                improper_error=InsufficientHistory,
-            )
-        ss = math.fsum((x - self.mean) ** 2 for x in h)
+        if h.size == 0:
+            return self._improper_start()
+        return self._posterior(math.fsum((x - self.mean) ** 2 for x in h), h.size)
+
+    def predictives(self, x):
+        yield self._improper_start()
+        partials, overflowed = [], False
+        for n in range(1, x.size + 1):
+            term = (x[n - 1] - self.mean) ** 2  # a numpy scalar, squared as in predictive_at
+            if math.isfinite(term):
+                _fsum_add(partials, float(term))
+            else:  # fsum's sum is then inf, and it drops its partials
+                partials.clear()
+                overflowed = True
+            yield self._posterior(math.inf if overflowed else math.fsum(partials), n)
+
+    def _improper_start(self) -> DensityWithDerivatives:
+        mean = self.mean
+        return DensityWithDerivatives(
+            logpdf=lambda x: -math.log(abs(x - mean)),
+            dlogpdf=lambda x: -1.0 / (x - mean),
+            d2logpdf=lambda x: 1.0 / (x - mean) ** 2,
+            proper=False,
+            smooth=True,
+            improper_error=InsufficientHistory,
+        )
+
+    def _posterior(self, ss: float, n: int) -> StudentTPredictive:
+        """Predictive after ``n`` observations whose squared deviations sum to ``ss``."""
         if ss == 0.0:
             raise InsufficientHistory(
                 "all observations equal the known mean; the posterior for the variance is improper"
@@ -208,8 +263,9 @@ class TransformedModel(PredictiveModel):
 
     The history is pulled back through the inverse transform before the
     inner model forms its predictive; that predictive is then pushed forward
-    with the Jacobian correction.  Pulling back costs one inverse per history
-    element per step, so a full sequential pass is quadratic in n.
+    with the Jacobian correction.  A pass pulls each observation back once
+    and runs the inner model's pass over the pulled-back series, so it costs
+    what the inner pass costs plus one pushforward per step.
     """
 
     def __init__(self, inner: PredictiveModel, transform: MonotoneTransform, identifier: str | None = None):
@@ -221,3 +277,13 @@ class TransformedModel(PredictiveModel):
         h = _check_history(history)
         pulled = np.array([self.transform.inverse(float(v)) for v in h])
         return pushforward_density(_density_of(self.inner.predictive_at(pulled)), self.transform)
+
+    def predictives(self, x):
+        pulled = np.empty(x.size)
+        for i, q in enumerate(self.inner.predictives(pulled)):
+            yield pushforward_density(_density_of(q), self.transform)
+            if i < x.size:  # filled in place after the inner pass yields predictive i + 1
+                v = self.transform.inverse(float(x[i]))
+                if not math.isfinite(v):
+                    raise _non_finite(i + 1, v)
+                pulled[i] = v

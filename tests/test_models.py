@@ -1,10 +1,12 @@
 """Predictive model checks against quadrature oracles and closed forms."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -14,6 +16,8 @@ from preqscore import (
     InsufficientHistory,
     NonFiniteValue,
     NonPositiveVariance,
+    PreqscoreError,
+    affine_transform,
     cubic_plus_linear_transform,
     delta_trace,
     flat_prior_location_model,
@@ -247,3 +251,162 @@ def test_model_without_predictive_at_is_not_implemented():
         Blank().predictive_at([])
     with pytest.raises(NotImplementedError):
         delta_trace(Blank(), iid_gaussian_model(0.0, 1.0), [0.1], "log")
+
+
+# ---------------------------------------------------------------------------
+# Built-in folds: O(1) state per observation, bit for bit equal to predictive_at
+# ---------------------------------------------------------------------------
+
+CUBIC = cubic_plus_linear_transform()
+AFFINE = affine_transform(2.5, -1.0)
+
+# models are immutable, so one instance serves every example
+FOLD_MODELS = {
+    m.identifier: m
+    for inner in (iid_gaussian_model(0.2, 1.5), flat_prior_location_model(0.7), flat_prior_scale_model(0.0))
+    for m in (inner, TransformedModel(inner, CUBIC), TransformedModel(inner, AFFINE))
+}
+
+
+def _bits(q, y: float):
+    """The parameters of a predictive as hex strings; a density's by its log-derivatives at ``y``."""
+    if isinstance(q, GaussianPredictive):
+        return ("flat",) if q.improper_flat else (q.mean.hex(), q.variance.hex())
+    if isinstance(q, StudentTPredictive):
+        return (q.center.hex(), q.scale.hex(), q.dof.hex())
+    out = [q.proper, q.smooth]
+    for f in (q.dlogpdf, q.d2logpdf):
+        try:
+            out.append(float(f(y)).hex())
+        except ArithmeticError as e:
+            out.append(type(e).__name__)
+    return tuple(out)
+
+
+def _assert_fold_equals_prefixes(model, x):
+    fold = model.predictives(x)
+    for i in range(x.size + 1):
+        y = float(x[i]) if i < x.size else 0.5
+        try:
+            want = model.predictive_at(x[:i])
+        except (PreqscoreError, ArithmeticError) as e:
+            with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+                next(fold)
+            return
+        assert _bits(next(fold), y) == _bits(want, y), f"predictive {i + 1}"
+
+
+_MAGNITUDES = st.floats(min_value=1e-8, max_value=1e8)
+_VALUES = st.just(0.0) | _MAGNITUDES | _MAGNITUDES.map(lambda v: -v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(FOLD_MODELS)),
+    x=st.lists(_VALUES, min_size=1, max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)),
+)
+def test_fold_equals_predictive_at_on_every_prefix_bitwise(kind, x):
+    # Values repeat and include exact zeros; magnitudes span 1e-8 to 1e8, so
+    # the running partials hold several floats.
+    _assert_fold_equals_prefixes(FOLD_MODELS[kind], np.array(x))
+
+
+@pytest.mark.parametrize("kind", ["flatloc(0.7)", "flatscale(0.0)"])
+@pytest.mark.parametrize(
+    "x",
+    [
+        [1e8, 1e-8, -1e8, 3.0, 1e-8],  # cancellation, and partials of several floats
+        [0.1] * 10 + [1e8, -1e8],
+        [1e-200] * 3 + [1.0],  # squares that underflow to zero
+        [1e154, 1e200, 1e154],  # an infinite square drops the partials, so no overflow follows
+        [1e154, 1e154, 1e200],  # the partials overflow first
+    ],
+)
+def test_fold_equals_predictive_at_on_extreme_sums(kind, x):
+    with np.errstate(over="ignore"):
+        _assert_fold_equals_prefixes(FOLD_MODELS[kind], np.array(x))
+
+
+@pytest.mark.parametrize(
+    "model, data, index, message",
+    [
+        (flat_prior_location_model(1.0), [1e308, 1e308, 1.0], 3, "intermediate overflow in fsum"),
+        (flat_prior_location_model(1.0), [1e308, -1e308, 1.0, 2.0], 2, "score is inf"),
+        (flat_prior_scale_model(0.0), [2.0, 1e200, 2.0, 1.0], 2, "score is nan"),
+        (flat_prior_scale_model(0.0), [1.0, 1e160, 2.0, 3.0], 2, "score is nan"),
+    ],
+)
+def test_running_sum_failures_match_the_closed_form(model, data, index, message):
+    # The running partials fail where math.fsum over the prefix fails, with its error.
+    with pytest.raises(NonFiniteValue, match=rf"{message}.*\(model '{re.escape(model.identifier)}', observation {index}\)$") as info:
+        delta_trace(model, model, data, "hyvarinen")
+    assert info.value.index == index
+
+
+def test_underflowing_squared_deviations_leave_the_scale_posterior_improper():
+    m = flat_prior_scale_model(0.0)
+    message = "^all observations equal the known mean; the posterior for the variance is improper$"
+    with pytest.raises(InsufficientHistory, match=message):
+        m.predictive_at([1e-200])
+    fold = m.predictives(np.array([1e-200]))
+    next(fold)
+    with pytest.raises(InsufficientHistory, match=message):
+        next(fold)
+
+
+def test_non_finite_pull_back_is_rejected_like_a_non_finite_observation():
+    m = TransformedModel(iid_gaussian_model(0.0, 1.0), affine_transform(1e-300))
+    x = np.array([0.0, 1e10, 0.0])
+    with pytest.raises(NonFiniteValue, match=r"^observation 2 is inf; observations must be finite$") as want:
+        m.predictive_at(x[:2])
+    fold = m.predictives(x)
+    next(fold), next(fold)
+    with pytest.raises(NonFiniteValue, match=f"^{re.escape(str(want.value))}$") as got:
+        next(fold)
+    assert got.value.index == want.value.index == 2
+
+
+def test_transformed_pass_pulls_each_observation_back_once():
+    # Hyvarinen scoring of a pushed-forward density inverts twice per step,
+    # and the pass once per observation: at most 3n calls, not ~n^2/2.
+    calls = []
+
+    def inverse(y):
+        calls.append(y)
+        return CUBIC.inverse(y)
+
+    n = 300
+    y = np.array([CUBIC.g(v) for v in np.linspace(-2.0, 2.0, n)])
+    counted = TransformedModel(flat_prior_scale_model(0.0), dataclasses.replace(CUBIC, inverse=inverse))
+    delta_trace(counted, iid_gaussian_model(0.0, 1.0), y, "hyvarinen")
+    assert len(calls) <= 3 * n
+
+
+def _raise(history):
+    raise AssertionError("predictive_at called inside a pass")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: flat_prior_location_model(1.0),
+        # its first, improper predictive is built by the pass itself, not by predictive_at
+        lambda: flat_prior_scale_model(0.0),
+        lambda: iid_gaussian_model(0.3, 1.2),
+        lambda: TransformedModel(iid_gaussian_model(0.3, 1.2), CUBIC),
+        lambda: TransformedModel(flat_prior_location_model(1.0), CUBIC),
+        lambda: TransformedModel(flat_prior_scale_model(0.0), AFFINE),
+    ],
+    ids=["flatloc", "flatscale", "iidnorm", "cubic-iidnorm", "cubic-flatloc", "affine-flatscale"],
+)
+def test_built_in_passes_never_call_predictive_at(build):
+    x = np.linspace(-1.5, 2.5, 40)
+    want = delta_trace(build(), flat_prior_location_model(2.0), x, "hyvarinen")
+    model = build()
+    model.predictive_at = _raise
+    if isinstance(model, TransformedModel):
+        model.inner.predictive_at = _raise
+    got = delta_trace(model, flat_prior_location_model(2.0), x, "hyvarinen")
+    for field in ("per_step", "cumulative", "scores_a", "scores_b"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+    assert len(list(model.predictives(x))) == x.size + 1
