@@ -7,23 +7,27 @@ compact spec strings and writes the sequential trace.
 Outputs are written to ``--out``: ``trace.csv`` (the replicate-0 trace under
 the gradient-based rule for experiments, the requested rule for ``trace``),
 ``summary.json`` (config echo, aggregates, one boolean per assertion), and
-``rep_<r>.csv`` per replicate when ``--keep-reps`` is set.  Everything is a
-pure function of the arguments: rerunning a command reproduces every output
-file byte for byte.
+``rep_<r>.csv`` per replicate when ``--keep-reps`` is set.  They are written
+beside ``--out`` first and moved in only once all are written, so a failed
+run changes nothing there.  Everything is a pure function of the arguments:
+rerunning a command reproduces every output file byte for byte.
 
 Exit codes: 0 all assertions pass, 1 at least one assertion fails,
-2 usage, configuration or data error, including non-finite data and scores
-that overflow.
+2 usage, configuration or data error, including non-finite data, scores
+and D_n that overflow.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import re
 import sys
+import tempfile
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -129,39 +133,45 @@ def _write_trace(path: Path, trace) -> None:
         write_trace_csv(trace, f)
 
 
+@contextlib.contextmanager
+def _staged(out: Path):
+    """Yield a new directory beside ``out``, then move its files into ``out``: a
+    failed run, or a target name that is a directory, leaves ``out`` as it was."""
+    real = out.resolve()  # beside the real directory: os.replace cannot cross filesystems
+    real.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{real.name}.", dir=real.parent) as tmp:
+        staging = Path(tmp)
+        yield staging
+        names = sorted(p.name for p in staging.iterdir())
+        clashes = [out / name for name in names if (out / name).is_dir()]
+        if clashes:
+            raise IsADirectoryError(f"cannot replace directory {clashes[0]} with a file")
+        out.mkdir(exist_ok=True)
+        for name in names:
+            (staging / name).replace(out / name)
+
+
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    config = ExperimentConfig(
-        experiment=Experiment(args.name),
-        n=args.n,
-        replicates=args.reps,
-        base_seed=args.seed,
-        xi=args.xi,
-        tau_q2=args.tauq2,
-        outlier_index=args.outlier_index,
-        outlier_magnitude=args.outlier_mag,
-        unit_scale=args.unit_scale,
-        cutoff=args.cutoff,
-        truth=args.truth,
-        outlier_models=args.outlier_models,
-    )
+    options = {f.name: getattr(args, f.name) for f in fields(ExperimentConfig) if f.default is not MISSING}
+    config = ExperimentConfig(experiment=Experiment(args.name), **options)
     result = run_experiment(config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    first = replicate_trace(config, 0)
-    _write_trace(out / "trace.csv", first)
-    if args.keep_reps:
-        for r in range(config.replicates):
-            _write_trace(out / f"rep_{r}.csv", first if r == 0 else replicate_trace(config, r))
-    _write_json(
-        out / "summary.json",
-        {
-            "command": "experiment",
-            "config": config.to_dict(),
-            "aggregates": result.aggregates,
-            "assertions": result.assertions,
-            "passed": result.passed,
-        },
-    )
+    with _staged(out) as staging:
+        first = replicate_trace(config, 0)
+        _write_trace(staging / "trace.csv", first)
+        if args.keep_reps:
+            for r in range(config.replicates):
+                _write_trace(staging / f"rep_{r}.csv", first if r == 0 else replicate_trace(config, r))
+        _write_json(
+            staging / "summary.json",
+            {
+                "command": "experiment",
+                "config": config.to_dict(),
+                "aggregates": result.aggregates,
+                "assertions": result.assertions,
+                "passed": result.passed,
+            },
+        )
     for name in sorted(result.assertions):
         print(f"{name}: {'PASS' if result.assertions[name] else 'FAIL'}")
     print(f"wrote {out / 'summary.json'}")
@@ -175,28 +185,28 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     trace = delta_trace(model_a, model_b, data, args.rule)
     outcome = select(trace, args.cutoff)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_trace(out / "trace.csv", trace)
-    _write_json(
-        out / "summary.json",
-        {
-            "command": "trace",
-            "config": {
-                "model_a": model_a.identifier,
-                "model_b": model_b.identifier,
-                "rule": args.rule,
-                "data": str(args.data),
-                "cutoff": args.cutoff,
+    with _staged(out) as staging:
+        _write_trace(staging / "trace.csv", trace)
+        _write_json(
+            staging / "summary.json",
+            {
+                "command": "trace",
+                "config": {
+                    "model_a": model_a.identifier,
+                    "model_b": model_b.identifier,
+                    "rule": args.rule,
+                    "data": str(args.data),
+                    "cutoff": args.cutoff,
+                },
+                "aggregates": {
+                    "n": len(trace),
+                    "d_n": trace.final,
+                    "chosen": outcome.chosen,
+                },
+                "assertions": {},
+                "passed": True,
             },
-            "aggregates": {
-                "n": len(trace),
-                "d_n": trace.final,
-                "chosen": outcome.chosen,
-            },
-            "assertions": {},
-            "passed": True,
-        },
-    )
+        )
     print(f"chosen: {outcome.chosen} (D_n = {trace.final!r})")
     print(f"wrote {out / 'summary.json'}")
     return 0
@@ -211,20 +221,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     exp = sub.add_parser("experiment", help="run a named seeded experiment")
     exp.add_argument("name", choices=[e.value for e in Experiment])
-    exp.add_argument("--xi", type=float, default=2.0, help="variance ratio tau_P^2 / tau_Q^2")
-    exp.add_argument("--tauq2", type=float, default=1.0, help="variance of model Q")
-    exp.add_argument("--n", type=int, default=1000, help="observations per replicate")
-    exp.add_argument("--reps", type=int, default=100, help="number of replicates")
-    exp.add_argument("--seed", type=int, default=0, help="base seed; replicate r uses stream (seed, r)")
-    exp.add_argument("--cutoff", type=float, default=0.0, help="selection cutoff on D_n")
-    exp.add_argument("--outlier-index", type=int, default=50, help="1-based position of the edited observation")
-    exp.add_argument("--outlier-mag", type=float, default=None, help="edit size; default 5 marginal sd")
-    exp.add_argument("--unit-scale", type=float, default=10.0, help="unit conversion factor c")
-    exp.add_argument("--truth", choices=["P", "Q"], default="P", help="which model generates the data")
-    exp.add_argument("--outlier-models", choices=["ar1", "iid"], default="ar1", help="model pair for the outlier experiment")
+    exp.add_argument("--xi", dest="xi", type=float, help="variance ratio tau_P^2 / tau_Q^2")
+    exp.add_argument("--tauq2", dest="tau_q2", metavar="TAUQ2", type=float, help="variance of model Q")
+    exp.add_argument("--n", dest="n", type=int, help="observations per replicate")
+    exp.add_argument("--reps", dest="replicates", metavar="REPS", type=int, help="number of replicates")
+    exp.add_argument("--seed", dest="base_seed", metavar="SEED", type=int, help="base seed; replicate r uses stream (seed, r)")
+    exp.add_argument("--cutoff", dest="cutoff", type=float, help="selection cutoff on D_n")
+    exp.add_argument("--outlier-index", dest="outlier_index", type=int, help="1-based position of the edited observation")
+    exp.add_argument("--outlier-mag", dest="outlier_magnitude", metavar="OUTLIER_MAG", type=float, help="edit size; default 5 marginal sd")
+    exp.add_argument("--unit-scale", dest="unit_scale", type=float, help="unit conversion factor c")
+    exp.add_argument("--truth", dest="truth", choices=["P", "Q"], help="which model generates the data")
+    exp.add_argument("--outlier-models", dest="outlier_models", choices=["ar1", "iid"], help="model pair for the outlier experiment")
     exp.add_argument("--keep-reps", action="store_true", help="also write rep_<r>.csv for every replicate")
     exp.add_argument("--out", required=True, help="output directory")
-    exp.set_defaults(func=_cmd_experiment)
+    # Every option's dest is its ExperimentConfig field, and so is its default.
+    exp.set_defaults(func=_cmd_experiment, **{f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING})
 
     tr = sub.add_parser("trace", help="score a data file under two models")
     tr.add_argument("--model-a", required=True, help="model spec, e.g. 'iidnorm(0,1)' or 'ar(0.5;1)'")

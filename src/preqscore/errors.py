@@ -62,7 +62,7 @@ class EmptyTrace(PreqscoreError, ValueError):
 
 
 class NonPositiveScale(PreqscoreError, ValueError):
-    """A score scale factor must be strictly positive."""
+    """A score scale factor must be strictly positive and finite."""
 
 
 class IndexOutOfRange(PreqscoreError, ValueError):

@@ -12,11 +12,11 @@ models do, early on) and still be compared; under the log rule the same
 model raises at the offending observation.
 
 Every score row, for traces, selections and the experiment runners, comes
-from one fold with two scorers: a scalar loop over each model's predictives
-pass, and an array scorer for models whose predictives from some step on are
-normal laws known in advance as arrays (iid normal; AR(p) after step p).
-Both apply the same kernels to the same floats, so they agree bit for bit.
-A non-finite score in the array scorer sends every row back to the loop,
+from one fold: a loop over each model's predictives pass, scoring each with
+the one scalar scorer that decides how any predictive meets a rule, and ahead
+of it the same Gaussian kernels on whole rows for models whose predictives are
+normal laws known in advance (iid normal; AR(p) after step p), bit for bit
+equal.  A non-finite score in such a row sends every row back to the loop,
 which raises its usual, located error.
 
 Cumulative sums use compensated (Kahan) summation: D_n drives decisions,
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import EmptyTrace, NonFiniteValue, PreqscoreError
 from .models import PredictiveModel, _check_history
-from .scores import _GAUSSIAN_KERNELS, ScaledRule, ScoreRule, as_rule, score_predictive
+from .scores import _GAUSSIAN_KERNELS, ScaledRule, ScoreRule, _score, as_rule
 
 __all__ = [
     "TIE",
@@ -60,7 +60,8 @@ def compensated_cumsum(values) -> np.ndarray:
     """Running sums with Neumaier compensation (matches fsum prefixes to ~1 ulp).
 
     Unlike plain Kahan summation this stays accurate when a term dwarfs the
-    running total, the case a large score spike produces.
+    running total, the case a large score spike produces.  An overflowing
+    total raises :class:`NonFiniteValue` indexed by its term, never a NaN.
     """
     out = np.empty(len(values))
     total = 0.0
@@ -68,6 +69,8 @@ def compensated_cumsum(values) -> np.ndarray:
     for i, raw in enumerate(values):
         v = float(raw)
         t = total + v
+        if not math.isfinite(t):
+            raise NonFiniteValue(f"running sum is {t!r} at term {i + 1}", index=i + 1)
         if abs(total) >= abs(v):
             c += (total - t) + v
         else:
@@ -138,11 +141,11 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
             if i >= ends[m]:
                 continue
             try:
-                value = score_predictive(xi, next(folds[m]), r).value
+                value = r.scale * _score(xi, next(folds[m]), r.base)
                 if not math.isfinite(value):
-                    raise NonFiniteValue(f"score is {value!r}", index=i + 1)
+                    raise NonFiniteValue(f"score is {value!r}")
             except ArithmeticError as e:
-                raise _located(NonFiniteValue(f"score is not finite: {e!r}", index=i + 1), model, i) from e
+                raise _located(NonFiniteValue(f"score is not finite: {e!r}"), model, i) from e
             except PreqscoreError as e:
                 raise _located(e, model, i) from e
             scores[m, i] = value
@@ -176,9 +179,12 @@ def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule,
 
 
 def _located(e: PreqscoreError, model: PredictiveModel, i: int) -> PreqscoreError:
-    """Copy of ``e``, attributes kept, whose message names the model and observation i + 1."""
+    """Copy of ``e``, attributes kept, whose message names the model and observation
+    i + 1, which also becomes the index of an unindexed :class:`NonFiniteValue`."""
     err = copy.copy(e)
     err.args = (f"{e} (model {model.identifier!r}, observation {i + 1})",)
+    if isinstance(err, NonFiniteValue) and err.index is None:
+        err.index = i + 1
     return err
 
 

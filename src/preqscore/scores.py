@@ -38,8 +38,8 @@ from .densities import DensityWithDerivatives, gaussian_density
 from .errors import (
     DimensionMismatch,
     HyvarinenInapplicable,
-    ImproperPredictive,
     InvalidDistribution,
+    NonFiniteValue,
     NonPositiveScale,
     NonPositiveVariance,
     NonSPDCovariance,
@@ -81,8 +81,8 @@ class ScaledRule:
     scale: float
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise NonPositiveScale(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise NonPositiveScale(f"scale must be positive and finite, got {self.scale}")
 
 
 def as_rule(rule) -> ScaledRule:
@@ -122,8 +122,8 @@ class ScoreValue:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise NonPositiveScale(f"scale must be positive, got {self.scale}")
+        if not 0 < self.scale < math.inf:
+            raise NonPositiveScale(f"scale must be positive and finite, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,13 @@ class GaussianPredictive:
         if self.improper_flat:
             return
         if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
+            raise NonFiniteValue(f"mean must be finite, got {self.mean}")
         if not (math.isfinite(self.variance) and self.variance > 0):
             raise NonPositiveVariance(f"variance must be positive, got {self.variance}")
+
+    @property
+    def proper(self) -> bool:
+        return not self.improper_flat
 
     @classmethod
     def flat(cls) -> "GaussianPredictive":
@@ -174,11 +178,54 @@ def _density_hyvarinen_score(q: DensityWithDerivatives, x: float) -> float:
     return 2.0 * q.d2logpdf(x) + q.dlogpdf(x) ** 2
 
 
-# The raw kernels by rule.  The prequential fold's array scorer applies them
-# to whole rows and the scalar scorers below to one observation; squaring as
-# d * d keeps both routes bitwise equal.
+# The raw kernels by rule.  :func:`_score` applies them to one observation,
+# the prequential fold's array scorer applies the Gaussian ones to whole rows;
+# squaring as d * d keeps both routes bitwise equal.
 _GAUSSIAN_KERNELS = {ScoreRule.LOG: _gaussian_log_score, ScoreRule.HYVARINEN: _gaussian_hyvarinen_score}
 _DENSITY_KERNELS = {ScoreRule.LOG: _density_log_score, ScoreRule.HYVARINEN: _density_hyvarinen_score}
+
+
+# The flat predictive as a density: constant log density, so zero derivatives.
+_FLAT_DENSITY = DensityWithDerivatives(
+    logpdf=lambda x: 0.0,
+    dlogpdf=lambda x: 0.0,
+    d2logpdf=lambda x: 0.0,
+    proper=False,
+)
+
+
+def _density_of(predictive) -> DensityWithDerivatives:
+    """View any predictive this package produces as a density with derivatives.
+
+    The flat :class:`GaussianPredictive` maps to the improper constant
+    density, and objects exposing ``.density()`` are unwrapped.
+    """
+    if isinstance(predictive, DensityWithDerivatives):
+        return predictive
+    if isinstance(predictive, GaussianPredictive):
+        if predictive.improper_flat:
+            return _FLAT_DENSITY
+        return gaussian_density(predictive.mean, predictive.variance)
+    if hasattr(predictive, "density"):
+        return _density_of(predictive.density())
+    raise TypeError(f"cannot score object of type {type(predictive).__name__}")
+
+
+def _score(x: float, predictive, base: ScoreRule) -> float:
+    """Unscaled score of ``x``: the one place that decides how a predictive meets a rule.
+
+    A proper normal law takes the closed formulas; any other predictive, the
+    flat one included, is scored as a density from its log-derivatives."""
+    if base not in _DENSITY_KERNELS:
+        raise ValueError(f"rule {base.value} is not defined for predictive densities")
+    if isinstance(predictive, GaussianPredictive) and predictive.proper:
+        return _GAUSSIAN_KERNELS[base](x, predictive.mean, predictive.variance)
+    q = _density_of(predictive)
+    if base is ScoreRule.LOG and not q.proper:
+        raise q.improper_error("log score undefined: predictive density is not normalizable")
+    if base is ScoreRule.HYVARINEN and not q.smooth:
+        raise HyvarinenInapplicable("log density is not C2; gradient-based score undefined")
+    return _DENSITY_KERNELS[base](q, x)
 
 
 def log_score(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue:
@@ -187,9 +234,7 @@ def log_score(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue
     Raises :class:`ImproperPredictive` for the flat predictive, whose density
     cannot be normalized.
     """
-    if q.improper_flat:
-        raise ImproperPredictive("log score undefined: flat predictive has no normalizable density")
-    return ScoreValue(scale * _gaussian_log_score(x, q.mean, q.variance), ScoreRule.LOG, scale)
+    return ScoreValue(scale * _score(x, q, ScoreRule.LOG), ScoreRule.LOG, scale)
 
 
 def hyvarinen_score_gaussian(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue:
@@ -199,9 +244,7 @@ def hyvarinen_score_gaussian(x: float, q: GaussianPredictive, scale: float = 1.0
     gradient and zero curvature), which is what makes improper predictives
     usable under this rule.
     """
-    if q.improper_flat:
-        return ScoreValue(0.0, ScoreRule.HYVARINEN, scale)
-    return ScoreValue(scale * _gaussian_hyvarinen_score(x, q.mean, q.variance), ScoreRule.HYVARINEN, scale)
+    return ScoreValue(scale * _score(x, q, ScoreRule.HYVARINEN), ScoreRule.HYVARINEN, scale)
 
 
 def hyvarinen_score_mvn(x, mean, covariance, scale: float = 1.0) -> ScoreValue:
@@ -235,57 +278,18 @@ def hyvarinen_score_generic(x: float, q: DensityWithDerivatives, scale: float = 
     Requires a C2 log density (``q.smooth``); densities with kinks, such as
     the double exponential, are rejected.
     """
-    if not q.smooth:
-        raise HyvarinenInapplicable("log density is not C2; gradient-based score undefined")
-    return ScoreValue(scale * _density_hyvarinen_score(q, x), ScoreRule.HYVARINEN, scale)
-
-
-# The flat predictive as a density: constant log density, so zero derivatives.
-_FLAT_DENSITY = DensityWithDerivatives(
-    logpdf=lambda x: 0.0,
-    dlogpdf=lambda x: 0.0,
-    d2logpdf=lambda x: 0.0,
-    proper=False,
-)
-
-
-def _density_of(predictive) -> DensityWithDerivatives:
-    """View any predictive this package produces as a density with derivatives.
-
-    The flat :class:`GaussianPredictive` maps to the improper constant
-    density, and objects exposing ``.density()`` are unwrapped.
-    """
-    if isinstance(predictive, DensityWithDerivatives):
-        return predictive
-    if isinstance(predictive, GaussianPredictive):
-        if predictive.improper_flat:
-            return _FLAT_DENSITY
-        return gaussian_density(predictive.mean, predictive.variance)
-    if hasattr(predictive, "density"):
-        return _density_of(predictive.density())
-    raise TypeError(f"cannot score object of type {type(predictive).__name__}")
+    return ScoreValue(scale * _score(x, q, ScoreRule.HYVARINEN), ScoreRule.HYVARINEN, scale)
 
 
 def score_predictive(x: float, predictive, rule) -> ScoreValue:
     """Score one observation under any predictive this package produces.
 
-    :class:`GaussianPredictive` is scored with the closed normal formulas;
-    every other predictive is viewed as a density first (see
-    :func:`_density_of`) and scored from its declared log-derivatives.
+    A proper :class:`GaussianPredictive` is scored with the closed normal
+    formulas; every other predictive is viewed as a density first (see
+    :func:`_score`) and scored from its declared log-derivatives.
     """
     r = as_rule(rule)
-    if r.base is ScoreRule.LOG:
-        if isinstance(predictive, GaussianPredictive):
-            return log_score(x, predictive, r.scale)
-        q = _density_of(predictive)
-        if not q.proper:
-            raise q.improper_error("log score undefined: predictive density is not normalizable")
-        return ScoreValue(r.scale * _density_log_score(q, x), ScoreRule.LOG, r.scale)
-    if r.base is ScoreRule.HYVARINEN:
-        if isinstance(predictive, GaussianPredictive):
-            return hyvarinen_score_gaussian(x, predictive, r.scale)
-        return hyvarinen_score_generic(x, _density_of(predictive), r.scale)
-    raise ValueError(f"rule {r.base.value} is not defined for predictive densities")
+    return ScoreValue(r.scale * _score(x, predictive, r.base), r.base, r.scale)
 
 
 # ---------------------------------------------------------------------------

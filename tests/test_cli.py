@@ -5,11 +5,12 @@ import json
 import math
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from preqscore import NonFiniteValue, stream
+from preqscore import ExperimentConfig, NonFiniteValue, cli, stream
 from preqscore.cli import _write_json, cli_main, parse_model_spec, read_data_csv
 from preqscore.models import FlatPriorLocationModel, FlatPriorScaleModel, IIDGaussianModel
 from preqscore.stationary import StationaryProcessModel
@@ -202,6 +203,45 @@ def test_experiment_flag_plumbing(tmp_path):
     assert summary["aggregates"]["expected_changed"] == [20]
 
 
+def test_experiment_options_default_to_the_config_fields(tmp_path):
+    out = tmp_path / "defaults"
+    assert run_cli("experiment", "variance-expectation", "--n", "50", "--reps", "2", "--out", str(out)) in (0, 1)
+    config = json.loads((out / "summary.json").read_text())["config"]
+    defaults = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
+    assert config == {**defaults, "experiment": "variance-expectation", "n": 50, "replicates": 2}
+
+
+def test_output_clash_leaves_out_as_it_was(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["experiment", "consistency", "--n", "40", "--reps", "3", "--out", str(out)]
+    assert run_cli(*args, "--seed", "4") in (0, 1)  # an earlier run's artifacts
+    (out / "rep_1.csv").mkdir()
+    before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    assert run_cli(*args, "--seed", "5", "--keep-reps") == 2
+    assert "rep_1.csv" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, "rep_1.csv"])
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no staging directory survives
+
+
+def test_failing_replicate_writes_nothing(tmp_path, monkeypatch, capsys):
+    real = cli.replicate_trace
+
+    def failing(config, r):
+        if r == 1:
+            raise NonFiniteValue("replicate 1 failed")
+        return real(config, r)
+
+    monkeypatch.setattr(cli, "replicate_trace", failing)
+    out = tmp_path / "out"
+    code = run_cli("experiment", "consistency", "--n", "40", "--reps", "3", "--keep-reps", "--out", str(out))
+    assert code == 2
+    assert "replicate 1 failed" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []  # no staging directory survives
+
+
 # ---------------------------------------------------------------------------
 # trace subcommand
 # ---------------------------------------------------------------------------
@@ -390,6 +430,24 @@ def test_non_finite_model_parameter_exits_two(tmp_path, capsys, spec, name):
     )
     assert code == 2
     assert f"{name} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_d_n_exits_two_without_traceback(tmp_path, cli_env):
+    write_data(tmp_path / "d.csv", [1e154] * 10)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "preqscore",
+            "trace", "--model-a", "iidnorm(0,1)", "--model-b", "iidnorm(0,2)",
+            "--rule", "log", "--data", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o"),
+        ],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "running sum is -inf at term 8" in proc.stderr
     assert not (tmp_path / "o").exists()
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from preqscore import (
     TIE,
+    GaussianPredictive,
+    PredictiveModel,
     TRACE_CSV_COLUMNS,
     DeltaTrace,
     EmptyTrace,
@@ -158,6 +160,68 @@ def test_fold_rows_equal_scalar_scores_bitwise(phis, mean, n, seed, rule):
         assert means.tolist() == [models[1].predictive_at(x[:i]).mean for i in range(k, n)]
     else:
         assert tail is None
+
+
+SCALAR_MODELS = {
+    "flatloc": lambda: flat_prior_location_model(0.8),
+    "flatscale": lambda: flat_prior_scale_model(0.2),
+    "ma": lambda: process_model(ma_process([0.4, -0.3], 1.1, 0.2)),
+    "transformed": lambda: TransformedModel(iid_gaussian_model(0.1, 0.9), cubic_plus_linear_transform()),
+}
+
+
+def _first_error_or_rows(score_row):
+    try:
+        return score_row()
+    except Exception as e:
+        return type(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SCALAR_MODELS)),
+    n=st.integers(min_value=0, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32),
+    rule=st.sampled_from(["log", "hyvarinen", rescale_rule("hyvarinen", 0.3), rescale_rule("log", 7.0)]),
+)
+def test_fold_rows_equal_scalar_scores_for_every_predictive_kind(kind, n, seed, rule):
+    # Models the loop scores one predictive at a time: improper starts under
+    # the log rule must raise the same class the scalar score raises.
+    model = SCALAR_MODELS[kind]()
+    x = 0.2 + 1.3 * stream(seed, 0).standard_normal(n)
+    fold = _first_error_or_rows(lambda: _score_matrix([model], x, rule)[1])
+    scalar = _first_error_or_rows(lambda: np.reshape(_scalar_rows([model], x, rule), (1, n)))
+    if isinstance(scalar, type):
+        assert fold is scalar
+    else:
+        np.testing.assert_array_equal(fold, scalar)
+
+
+class _DriftModel(PredictiveModel):
+    identifier = "drift"
+
+    def predictive_at(self, history):
+        return GaussianPredictive(math.fsum(history) * 1e308, 1.0)
+
+
+def test_non_finite_predictive_mean_is_located():
+    with pytest.raises(NonFiniteValue, match=r"mean must be finite, got inf \(model 'drift', observation 2\)$") as info:
+        delta_trace(_DriftModel(), A, [2.0, 1.0, 2.0], "log")
+    assert info.value.index == 2
+
+
+def test_overflowing_d_n_raises_instead_of_a_nan_tie():
+    pair, data = (A, iid_gaussian_model(0.0, 2.0)), [1e154] * 10
+    # every per-step delta is finite (-2.5e307); their running sum is not
+    with pytest.raises(NonFiniteValue, match="running sum is -inf at term 8") as info:
+        delta_trace(*pair, data, "log")
+    assert info.value.index == 8
+    with pytest.raises(NonFiniteValue, match="running sum is inf at term 4") as info:
+        select_among(pair, data, "log")
+    assert info.value.index == 4
+    with pytest.raises(NonFiniteValue) as info:
+        compensated_cumsum([1.0, math.nan])
+    assert info.value.index == 2
 
 
 PREFIX_MODELS = {

@@ -13,6 +13,7 @@ from preqscore import (
     GaussianPredictive,
     HyvarinenInapplicable,
     ImproperPredictive,
+    InsufficientHistory,
     InvalidDistribution,
     NonPositiveScale,
     NonPositiveVariance,
@@ -33,7 +34,9 @@ from preqscore import (
     shift_density,
     student_t_density,
 )
-from preqscore.models import StudentTPredictive
+from preqscore.models import PredictiveModel, StudentTPredictive, flat_prior_scale_model, iid_gaussian_model
+from preqscore.prequential import delta_trace
+from preqscore.scores import _score
 
 from oracles import fd_first, fd_second, simplex_grid
 
@@ -83,7 +86,8 @@ def test_hyvarinen_t3_at_center_closed_value():
 def test_flat_predictive_scores():
     flat = GaussianPredictive.flat()
     assert hyvarinen_score_gaussian(12.3, flat).value == 0.0
-    with pytest.raises(ImproperPredictive):
+    assert score_predictive(12.3, flat, rescale_rule("hyvarinen", 7.0)).value == 0.0
+    with pytest.raises(ImproperPredictive, match="predictive density is not normalizable"):
         log_score(12.3, flat)
 
 
@@ -104,9 +108,18 @@ def test_hyvarinen_ignores_normalization(c):
     )
 
 
+class _LaplaceModel(PredictiveModel):
+    identifier = "laplace"
+
+    def predictive_at(self, history):
+        return laplace_density(0.0, 1.0)
+
+
 def test_hyvarinen_rejects_non_smooth_density():
     with pytest.raises(HyvarinenInapplicable):
         hyvarinen_score_generic(0.5, laplace_density(0.0, 1.0))
+    with pytest.raises(HyvarinenInapplicable, match=r"\(model 'laplace', observation 1\)$"):
+        delta_trace(_LaplaceModel(), iid_gaussian_model(0.0, 1.0), [0.5], "hyvarinen")
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +184,11 @@ def test_rescale_rule_composes_multiplicatively():
         rescale_rule(ScoreRule.LOG, 0.0)
     with pytest.raises(NonPositiveScale):
         ScaledRule(ScoreRule.LOG, -1.0)
+    # an infinite factor would turn the flat predictive's exact zero into NaN
+    with pytest.raises(NonPositiveScale, match="finite"):
+        rescale_rule(ScoreRule.HYVARINEN, math.inf)
+    with pytest.raises(NonPositiveScale):
+        hyvarinen_score_gaussian(1.0, GaussianPredictive.flat(), math.inf)
 
 
 def test_scaled_rule_scales_values_exactly():
@@ -196,6 +214,23 @@ def test_score_predictive_dispatch():
         score_predictive(x, object(), "log")
     with pytest.raises(ValueError, match="decision-induced"):
         score_predictive(x, q, ScoreRule.DECISION_INDUCED)
+
+
+@pytest.mark.parametrize(
+    "predictive, rule, error",
+    [
+        (GaussianPredictive.flat(), ScoreRule.LOG, ImproperPredictive),
+        (flat_prior_scale_model(0.0).predictive_at([]), ScoreRule.LOG, InsufficientHistory),
+        (laplace_density(0.0, 1.0), ScoreRule.HYVARINEN, HyvarinenInapplicable),
+        (GaussianPredictive(0.0, 1.0), ScoreRule.DECISION_INDUCED, ValueError),
+        (object(), ScoreRule.LOG, TypeError),
+    ],
+)
+def test_one_scorer_decides_every_error(predictive, rule, error):
+    with pytest.raises(error):
+        _score(0.4, predictive, rule)
+    with pytest.raises(error):
+        score_predictive(0.4, predictive, rule)
 
 
 def test_score_predictive_improper_density_raises_declared_error():
