@@ -9,9 +9,7 @@ ones) never enter.
 from preqscore import (
     GaussianPredictive,
     gaussian_density,
-    hyvarinen_score_gaussian,
-    hyvarinen_score_generic,
-    log_score,
+    score_predictive,
     shift_density,
     student_t_density,
 )
@@ -21,37 +19,37 @@ def main():
     x = 1.3
     q = GaussianPredictive(mean=0.0, variance=2.0)
     print(f"observation x = {x}, predictive N({q.mean}, {q.variance})")
-    print(f"  log score       : {log_score(x, q).value:.6f}")
-    print(f"  gradient score  : {hyvarinen_score_gaussian(x, q).value:.6f}")
+    print(f"  log score       : {score_predictive(x, q, 'log').value:.6f}")
+    print(f"  gradient score  : {score_predictive(x, q, 'hyvarinen').value:.6f}")
 
     # The gradient score never sees the normalizing constant: multiply the
     # density by any positive constant and the score is bit-for-bit the same.
     t = student_t_density(0.0, 1.0, 3.0)
     bumped = shift_density(t, 5.0)  # density * exp(5), no longer normalized
-    s_base = hyvarinen_score_generic(x, t).value
-    s_bump = hyvarinen_score_generic(x, bumped).value
+    s_base = score_predictive(x, t, "hyvarinen").value
+    s_bump = score_predictive(x, bumped, "hyvarinen").value
     print(f"\nt3 density vs the same density times e^5:")
     print(f"  gradient scores {s_base:.6f} and {s_bump:.6f}, equal: {s_base == s_bump}")
 
     # Closed Gaussian formula and the generic derivative route agree.
-    closed = hyvarinen_score_gaussian(x, q).value
-    generic = hyvarinen_score_generic(x, gaussian_density(0.0, 2.0)).value
+    closed = score_predictive(x, q, "hyvarinen").value
+    generic = score_predictive(x, gaussian_density(0.0, 2.0), "hyvarinen").value
     print(f"\nclosed form {closed:.12f} vs derivative route {generic:.12f}")
 
     # The flat predictive has no log score at all, but its log density is
     # constant, so the gradient score is exactly zero.
     flat = GaussianPredictive.flat()
-    print(f"\nflat predictive: gradient score = {hyvarinen_score_gaussian(x, flat).value}")
+    print(f"\nflat predictive: gradient score = {score_predictive(x, flat, 'hyvarinen').value}")
     try:
-        log_score(x, flat)
+        score_predictive(x, flat, "log")
     except Exception as e:
         print(f"flat predictive under the log rule: {type(e).__name__}: {e}")
 
     # With equal variances the two rules are tied by an exact constant:
     # each per-step gradient difference is (2 / variance) times the log one.
     a, b = GaussianPredictive(0.0, 2.0), GaussianPredictive(1.0, 2.0)
-    d_log = log_score(x, b).value - log_score(x, a).value
-    d_hyv = hyvarinen_score_gaussian(x, b).value - hyvarinen_score_gaussian(x, a).value
+    d_log = score_predictive(x, b, "log").value - score_predictive(x, a, "log").value
+    d_hyv = score_predictive(x, b, "hyvarinen").value - score_predictive(x, a, "hyvarinen").value
     print(f"\nequal-variance pair: hyv delta {d_hyv:.10f} = (2/v) * log delta {d_log:.10f}")
     print(f"  residual {abs(d_hyv - (2.0 / 2.0) * d_log):.2e}")
 

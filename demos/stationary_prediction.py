@@ -3,8 +3,8 @@
 The recursion turns an autocovariance function into exact finite-history
 prediction coefficients and conditional variances.  For an AR(p) process the
 variance reaches the innovation variance after p steps and the coefficients
-freeze; for an MA(q) process the variance keeps shrinking toward it without
-ever arriving.
+freeze; for an MA(q) or ARMA(p,q) process the variance keeps shrinking toward
+it without ever arriving.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import numpy as np
 from preqscore import (
     ScoreRule,
     ar_process,
+    arma_process,
     delta_trace,
     durbin_levinson,
     ma_process,
@@ -37,6 +38,13 @@ def main():
     print(f"\n{ma1.label}: conditional variance approaches 1 from above")
     for i in (0, 1, 2, 5, 10, 30, 59):
         print(f"  step {i + 1:>2}: {vs[i]:.12f}")
+
+    # ARMA models run the innovations algorithm; their conditional variances
+    # do not depend on the data, so a pass over zeros reads them off.
+    arma11 = arma_process([0.5], [0.4], innovation_variance=1.0)
+    vs = [q.variance for q in process_model(arma11).predictives(np.zeros(29))]
+    print(f"\n{arma11.label}: conditional variance {vs[0]:.6f} (= gamma(0)), "
+          f"{vs[1]:.12f} at step 2, {vs[29]:.12f} at step 30")
 
     # Prediction in action: simulate an AR(1) path, then let the matching
     # process model race white noise with the same marginal variance.

@@ -41,7 +41,7 @@ from .models import (
     iid_gaussian_model,
 )
 from .prequential import delta_trace, select, write_trace_csv
-from .stationary import ar_process, ma_process, process_model
+from .stationary import arma_process, process_model
 
 __all__ = ["parse_model_spec", "read_data_csv", "cli_main", "main"]
 
@@ -52,8 +52,12 @@ def parse_model_spec(spec: str) -> PredictiveModel:
     """Build a predictive model from a compact spec string.
 
     Forms: ``iidnorm(mu,var)``, ``flatloc(var)``, ``flatscale(mu)``,
-    ``ar(phi1,...;var)``, ``ma(theta1,...;var)``.  The string itself becomes
-    the model's identifier in all outputs.
+    ``ar(phi1,...;var)``, ``ma(theta1,...;var)`` and
+    ``arma(phi1,...;theta1,...;var)``, each coefficient group non-empty.  The
+    string itself becomes the model's identifier in all outputs.  A malformed
+    spec raises :class:`ValueError` naming it; a non-stationary AR part, a
+    non-finite coefficient or a non-positive variance raises the process
+    constructor's :class:`PreqscoreError`.
     """
     text = spec.strip()
     m = _SPEC_RE.match(text)
@@ -69,16 +73,16 @@ def parse_model_spec(spec: str) -> PredictiveModel:
     if name == "flatscale":
         (mu,) = _float_args(body, 1, spec)
         return flat_prior_scale_model(mu, identifier=text)
-    if name in ("ar", "ma"):
-        if body.count(";") != 1:
-            raise ValueError(f"{name} spec needs exactly one ';' separating coefficients from variance: {spec!r}")
-        coef_part, var_part = body.split(";")
-        coeffs = [_parse_float(tok, spec) for tok in coef_part.split(",") if tok.strip()]
-        if not coeffs:
-            raise ValueError(f"{name} spec needs at least one coefficient: {spec!r}")
-        var = _parse_float(var_part, spec)
-        proc = ar_process(coeffs, var) if name == "ar" else ma_process(coeffs, var)
-        return process_model(proc, identifier=text)
+    if name in ("ar", "ma", "arma"):
+        *groups, var_part = body.split(";")
+        want = 2 if name == "arma" else 1  # coefficient groups before the variance
+        if len(groups) != want:
+            raise ValueError(f"{name} spec needs exactly {want} ';' before the variance: {spec!r}")
+        coeffs = [[_parse_float(tok, spec) for tok in group.split(",") if tok.strip()] for group in groups]
+        if not all(coeffs):
+            raise ValueError(f"{name} spec needs at least one coefficient in each group: {spec!r}")
+        phis, thetas = coeffs if name == "arma" else (coeffs[0], ()) if name == "ar" else ((), coeffs[0])
+        return process_model(arma_process(phis, thetas, _parse_float(var_part, spec)), identifier=text)
     raise ValueError(f"unknown model kind {name!r} in spec {spec!r}")
 
 

@@ -26,10 +26,6 @@ class NonPositiveVariance(PreqscoreError, ValueError):
     """A variance parameter was zero or negative."""
 
 
-class NonSPDCovariance(PreqscoreError, ValueError):
-    """A covariance matrix is not symmetric positive definite."""
-
-
 class DimensionMismatch(PreqscoreError, ValueError):
     """Vector/matrix dimensions do not agree."""
 

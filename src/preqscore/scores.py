@@ -42,7 +42,6 @@ from .errors import (
     NonFiniteValue,
     NonPositiveScale,
     NonPositiveVariance,
-    NonSPDCovariance,
 )
 
 __all__ = [
@@ -52,10 +51,6 @@ __all__ = [
     "rescale_rule",
     "ScoreValue",
     "GaussianPredictive",
-    "log_score",
-    "hyvarinen_score_gaussian",
-    "hyvarinen_score_mvn",
-    "hyvarinen_score_generic",
     "score_predictive",
     "DecisionProblem",
     "score_from_decision_problem",
@@ -226,59 +221,6 @@ def _score(x: float, predictive, base: ScoreRule) -> float:
     if base is ScoreRule.HYVARINEN and not q.smooth:
         raise HyvarinenInapplicable("log density is not C2; gradient-based score undefined")
     return _DENSITY_KERNELS[base](q, x)
-
-
-def log_score(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue:
-    """Negative log predictive density of a normal law.
-
-    Raises :class:`ImproperPredictive` for the flat predictive, whose density
-    cannot be normalized.
-    """
-    return ScoreValue(scale * _score(x, q, ScoreRule.LOG), ScoreRule.LOG, scale)
-
-
-def hyvarinen_score_gaussian(x: float, q: GaussianPredictive, scale: float = 1.0) -> ScoreValue:
-    """Gradient-based score of a normal predictive: -2/v + (x-m)^2/v^2.
-
-    The flat predictive scores exactly zero (its log density has zero
-    gradient and zero curvature), which is what makes improper predictives
-    usable under this rule.
-    """
-    return ScoreValue(scale * _score(x, q, ScoreRule.HYVARINEN), ScoreRule.HYVARINEN, scale)
-
-
-def hyvarinen_score_mvn(x, mean, covariance, scale: float = 1.0) -> ScoreValue:
-    """Gradient-based score of a multivariate normal: -2 tr(S^-1) + |S^-1 (x-m)|^2."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    covariance = np.atleast_2d(np.asarray(covariance, dtype=float))
-    d = x.shape[0]
-    if mean.shape != (d,) or covariance.shape != (d, d):
-        raise DimensionMismatch(
-            f"x has dimension {d}, mean {mean.shape}, covariance {covariance.shape}"
-        )
-    if not np.allclose(covariance, covariance.T, rtol=1e-12, atol=1e-12):
-        raise NonSPDCovariance("covariance is not symmetric")
-    try:
-        np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError:
-        raise NonSPDCovariance("covariance is not positive definite") from None
-    inv = np.linalg.inv(covariance)
-    grad = inv @ (x - mean)
-    raw = -2.0 * float(np.trace(inv)) + float(grad @ grad)
-    return ScoreValue(scale * raw, ScoreRule.HYVARINEN, scale)
-
-
-def hyvarinen_score_generic(x: float, q: DensityWithDerivatives, scale: float = 1.0) -> ScoreValue:
-    """Gradient-based score from declared log-derivatives: 2 d2 + d1^2.
-
-    Only the derivatives of the log density enter, so the value is invariant
-    to shifting ``logpdf`` by any constant: unnormalized and improper
-    densities are scored without ever touching a normalizing constant.
-    Requires a C2 log density (``q.smooth``); densities with kinks, such as
-    the double exponential, are rejected.
-    """
-    return ScoreValue(scale * _score(x, q, ScoreRule.HYVARINEN), ScoreRule.HYVARINEN, scale)
 
 
 def score_predictive(x: float, predictive, rule) -> ScoreValue:

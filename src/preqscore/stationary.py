@@ -1,17 +1,18 @@
 """One-step prediction for covariance-stationary Gaussian processes.
 
 A process is specified by its constant mean and autocovariance sequence
-``gamma(k)``.  One forward Durbin-Levinson pass per series turns the
-autocovariances into the exact conditional law of each observation given all
-earlier ones: projection coefficients plus the conditional variance ``v_i``
-of X_i given (X_1, ..., X_{i-1}).
+``gamma(k)``.  One pass per series turns it into the exact conditional law of
+each observation given all earlier ones: a linear prediction plus the
+conditional variance ``v_i`` of X_i given (X_1, ..., X_{i-1}).  The pass is
+the lag filter after p Durbin-Levinson steps for AR(p), O(p) per step; the
+innovations algorithm for MA(q) and ARMA(p,q), O(q^2) per step; and the
+forward Durbin-Levinson pass for a user autocovariance, O(i) at step i
+(Brockwell & Davis 1991, ch. 5).
 
 The conditional variance is the point of this module: it is constant in i
 only for special processes.  For an AR(p) process it is the innovation
-variance exactly for i > p, where process models predict with the fixed lag
-filter ``mean + sum_j phi_j (x_{i-j} - mean)`` (Brockwell & Davis 1991,
-ch. 5) and the recursion serves only the first p steps; for a general
-process it is non-constant but non-increasing with that limit.
+variance exactly for i > p; for a general process it is non-constant but
+non-increasing with that limit.
 
 Positive-definiteness failures raise with the first failing leading
 dimension instead of being regularized away: silent jitter would corrupt
@@ -37,6 +38,7 @@ __all__ = [
     "StationaryProcessSpec",
     "PredictionRecursionState",
     "durbin_levinson",
+    "arma_process",
     "ar_process",
     "ma_process",
     "white_noise",
@@ -51,9 +53,10 @@ class StationaryProcessSpec:
     """Constant-mean stationary Gaussian process given by gamma(k).
 
     Each :meth:`gamma` call evaluates ``autocov``; the prediction recursion
-    keeps the values it reads.  ``ar`` is ``(coefficients, innovation
-    variance)`` when the process is AR(p), coefficients ordered phi_1..phi_p;
-    process models then predict beyond step p with that lag filter.
+    keeps the values it reads.  ``arma`` is ``(phi_1..phi_p, theta_1..theta_q,
+    innovation variance)`` when the process is ARMA(p,q); process models then
+    predict with the lag filter (q = 0) or the innovations algorithm, not the
+    forward Durbin-Levinson pass.
     """
 
     def __init__(
@@ -61,13 +64,13 @@ class StationaryProcessSpec:
         mean: float,
         autocov: Callable[[int], float],
         label: str = "process",
-        ar: tuple[Sequence[float], float] | None = None,
+        arma: tuple[Sequence[float], Sequence[float], float] | None = None,
     ):
         _require_finite(mean=mean)
         self.mean = float(mean)
         self._autocov = autocov
         self.label = label
-        self.ar = None if ar is None else (tuple(float(c) for c in ar[0]), float(ar[1]))
+        self.arma = None if arma is None else (*(tuple(float(c) for c in cs) for cs in arma[:2]), float(arma[2]))
 
     def gamma(self, k: int) -> float:
         """Autocovariance at lag k >= 0; :class:`NonFiniteValue` unless it is finite."""
@@ -142,27 +145,36 @@ def durbin_levinson(spec: StationaryProcessSpec, n: int) -> list[PredictionRecur
     return [PredictionRecursionState(i, c, v) for i, (c, v) in zip(range(1, n + 1), _durbin_levinson(spec))]
 
 
-def ar_process(
-    coefficients: Sequence[float],
+def arma_process(
+    ar_coefficients: Sequence[float],
+    ma_coefficients: Sequence[float],
     innovation_variance: float,
     mean: float = 0.0,
 ) -> StationaryProcessSpec:
-    """Autoregressive process; autocovariances solve the Yule-Walker equations.
+    """ARMA(p,q) process phi(B)(X_t - mean) = theta(B) Z_t, Var Z_t = s^2.
 
-    Raises :class:`NonStationary` unless all roots of the AR polynomial lie
-    strictly outside the unit circle.  ``coefficients`` may be empty, giving
-    white noise.
+    gamma(0..max(p,q)) solve gamma(k) - sum_j phi_j gamma(|k-j|) =
+    s^2 sum_{j>=k} theta_j psi_{j-k}, and gamma(k) = sum_j phi_j gamma(k-j)
+    beyond (Brockwell & Davis 1991, §3.3).  Raises :class:`NonStationary`
+    unless all roots of the AR polynomial lie strictly outside the unit
+    circle; the MA coefficients may be any finite numbers.
     """
-    phis = np.asarray(coefficients, dtype=float)
+    phis = np.asarray(ar_coefficients, dtype=float)
+    thetas = np.asarray(ma_coefficients, dtype=float)
     _require_finite(innovation_variance=innovation_variance)
     if not innovation_variance > 0:
         raise NonPositiveVariance(f"innovation variance must be positive, got {innovation_variance}")
     if not np.all(np.isfinite(phis)):
         raise NonStationary(f"AR coefficients must be finite, got {phis.tolist()}")
-    p = phis.size
-    label = f"ar({','.join(repr(float(c)) for c in phis)};{float(innovation_variance)})"
-    if p == 0:
+    if not np.all(np.isfinite(thetas)):
+        raise NonFiniteValue(f"MA coefficients must be finite, got {thetas.tolist()}")
+    p, q = phis.size, thetas.size
+    if p == q == 0:
         return white_noise(innovation_variance, mean)
+    s2 = float(innovation_variance)
+    kind = "arma" if p and q else "ar" if p else "ma"
+    groups = [",".join(repr(float(c)) for c in cs) for cs in (phis, thetas) if cs.size]
+    label = f"{kind}({';'.join(groups)};{s2})"
     phi = phis.tolist()  # step-down (Schur-Cohn): stationary iff every |kappa_k| < 1
     for k in range(p, 0, -1):
         kappa = phi[k - 1]
@@ -170,22 +182,38 @@ def ar_process(
             raise NonStationary(f"AR polynomial is not stationary: partial autocorrelation kappa_{k} = {kappa!r}")
         phi = [(phi[j] + kappa * phi[k - 2 - j]) / (1.0 - kappa * kappa) for j in range(k - 1)]
 
-    # Solve for gamma(0..p): gamma(k) - sum_j phi_j gamma(|k-j|) = s^2 * [k == 0]
-    a = np.eye(p + 1)
-    for k in range(p + 1):
+    m = max(p, q)
+    th = [1.0, *thetas.tolist()]
+    psi = []  # psi_j = theta_j + sum_i phi_i psi_{j-i}, the weights of Z_{t-j} in X_t
+    for j in range(q + 1):
+        psi.append(th[j] + sum(c * psi[j - i] for i, c in enumerate(phis.tolist()[:j], 1)))
+    b = [s2 * sum(th[j] * psi[j - k] for j in range(k, q + 1)) for k in range(q + 1)] + [0.0] * (m - q)
+    if not all(map(math.isfinite, b)):
+        raise NonFiniteValue(f"autocovariances gamma(0), ..., gamma({m}) of process {label!r} overflow")
+    a = np.eye(m + 1)
+    for k in range(m + 1):
         for j in range(1, p + 1):
             a[k, abs(k - j)] -= phis[j - 1]
-    b = np.zeros(p + 1)
-    b[0] = innovation_variance
-    head = list(np.linalg.solve(a, b))
+    head = list(np.linalg.solve(a, b)) if p else b  # a pure MA's system is the identity
 
     def autocov(k: int) -> float:
         while len(head) <= k:
-            m = len(head)
-            head.append(float(np.dot(phis, [head[m - j] for j in range(1, p + 1)])))
+            n = len(head)
+            head.append(float(np.dot(phis, [head[n - j] for j in range(1, p + 1)])) if p else 0.0)
         return head[k]
 
-    return StationaryProcessSpec(mean, autocov, label=label, ar=(phis, innovation_variance))
+    return StationaryProcessSpec(mean, autocov, label=label, arma=(phis, thetas, s2))
+
+
+def ar_process(
+    coefficients: Sequence[float],
+    innovation_variance: float,
+    mean: float = 0.0,
+) -> StationaryProcessSpec:
+    """Autoregressive process, :func:`arma_process` with no MA part;
+    autocovariances solve the Yule-Walker equations.  ``coefficients`` may be
+    empty, giving white noise."""
+    return arma_process(coefficients, (), innovation_variance, mean)
 
 
 def ma_process(
@@ -193,24 +221,9 @@ def ma_process(
     innovation_variance: float,
     mean: float = 0.0,
 ) -> StationaryProcessSpec:
-    """Moving-average process: gamma(k) = s^2 sum_j theta_j theta_{j+k}, theta_0 = 1."""
-    thetas = np.asarray(coefficients, dtype=float)
-    _require_finite(innovation_variance=innovation_variance)
-    if not innovation_variance > 0:
-        raise NonPositiveVariance(f"innovation variance must be positive, got {innovation_variance}")
-    if not np.all(np.isfinite(thetas)):
-        raise NonFiniteValue(f"MA coefficients must be finite, got {thetas.tolist()}")
-    full = np.concatenate(([1.0], thetas))
-    q = thetas.size
-    label = f"ma({','.join(repr(float(c)) for c in thetas)};{float(innovation_variance)})"
-
-    def autocov(k: int) -> float:
-        if k > q:
-            return 0.0
-        with np.errstate(over="ignore"):  # an overflow is reported by gamma, naming the lag
-            return innovation_variance * float(np.dot(full[: q + 1 - k], full[k:]))
-
-    return StationaryProcessSpec(mean, autocov, label=label)
+    """Moving-average process, :func:`arma_process` with no AR part:
+    gamma(k) = s^2 sum_j theta_j theta_{j+k}, theta_0 = 1."""
+    return arma_process((), coefficients, innovation_variance, mean)
 
 
 def white_noise(variance: float, mean: float = 0.0) -> StationaryProcessSpec:
@@ -221,32 +234,106 @@ def white_noise(variance: float, mean: float = 0.0) -> StationaryProcessSpec:
         mean,
         lambda k: variance if k == 0 else 0.0,
         label=f"whitenoise({float(variance)})",
-        ar=((), variance),
+        arma=((), (), variance),
     )
 
 
 def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int = 0) -> np.ndarray:
     """Exact Gaussian path of length n, deterministic given (spec, n, seed, substream).
 
-    Generated sequentially from the process model's own predictives:
+    Generated sequentially from the process model's own predictive moments:
     x_i = predictive mean + sqrt(predictive variance) * z_i, with the z_i
     read from the counter-based stream keyed by ``(seed, substream)``.
     """
-    z = stream(seed, substream).standard_normal(n)
+    z = stream(seed, substream).standard_normal(n).tolist()
     x = np.empty(n)
-    for i, q in zip(range(n), StationaryProcessModel(spec).predictives(x)):
-        x[i] = q.mean + math.sqrt(q.variance) * z[i]
+    for i, (mean, variance) in zip(range(n), _moments(spec, x)):
+        x[i] = mean + math.sqrt(variance) * z[i]
     return x
+
+
+def _moments(spec: StationaryProcessSpec, x: np.ndarray):
+    """(mean, variance) of X_i given X_1..X_{i-1} = x[:i - 1], as floats, for
+    i = 1..n+1; ``x[i]`` is read only after the (i+1)-th pair is yielded."""
+    return _innovations(spec, x) if spec.arma and spec.arma[1] else _forward_pass(spec, x)
+
+
+def _forward_pass(spec: StationaryProcessSpec, x: np.ndarray):
+    """The forward Durbin-Levinson pass for a user autocovariance; for AR(p)
+    its first p steps, then mean + sum_j phi_j (x_{i-j} - mean) in floats."""
+    mean, (phis, _, variance) = spec.mean, spec.arma or ((), (), None)
+    p = x.size + 1 if spec.arma is None else min(len(phis), x.size + 1)
+    for i, (coefficients, v) in zip(range(p), _durbin_levinson(spec)):
+        yield mean + float(np.dot(coefficients, x[:i] - mean)), v
+    recent = collections.deque(reversed(x[max(p - len(phis), 0) : p].tolist()), maxlen=len(phis))  # x_{i-1}, ...
+    for i in range(p, x.size + 1):
+        if i > p:
+            recent.appendleft(float(x[i - 1]))
+        deviation = 0.0
+        for phi, xj in zip(phis, recent):
+            deviation += phi * (xj - mean)
+        yield mean + deviation, variance
+
+
+def _innovations(spec: StationaryProcessSpec, x: np.ndarray):
+    """ARMA(p,q), q > 0: the innovations algorithm on Ansley's W_t, X_t for
+    t <= m = max(p,q) and phi(B)X_t beyond, whose coefficients theta_{n,j}
+    vanish for j > q once n >= m (Ansley 1979; Brockwell & Davis 1991, §5.3).
+    The state is the last m rows of theta, values of v and innovations."""
+    mean, (phis, thetas, s2) = spec.mean, spec.arma
+    q = len(thetas)
+    m = max(len(phis), q)
+    # kappa(i, i-h), the covariance of W_i and W_{i-h}: gamma(h) while i <= m, that of
+    # phi(B)X_i and X_{i-h} for i-h <= m < i, and that of theta(B)Z_i and theta(B)Z_{i-h} beyond
+    gam = [spec.gamma(k) for k in range(m + 1)]
+    cross = [gam[h] - sum(phi * gam[abs(h - r)] for r, phi in enumerate(phis, 1)) for h in range(q + 1)]
+    th = (1.0, *thetas)
+    tail = [s2 * sum(th[j] * th[j + h] for j in range(q + 1 - h)) for h in range(q + 1)]
+    rows = collections.deque(maxlen=m)  # theta_{n-j,1..} for j = m..1
+    vs = collections.deque(maxlen=m)  # v_{n-j}
+    innovations = collections.deque(maxlen=m)  # x_{n+1-j} - xhat_{n+1-j} for j = 1..m
+    recent = collections.deque(maxlen=len(phis))  # x_{n+1-j} - mean
+    xhat = mean
+    for n in range(x.size + 1):
+        if n:
+            xn = float(x[n - 1])
+            innovations.appendleft(xn - xhat)
+            recent.appendleft(xn - mean)
+        width = n if n < m else q
+        row = [0.0] * width  # theta_{n,1..width}
+        for j in range(width, 0, -1):
+            # theta_{n,j} v_{n-j} = kappa(n+1, n+1-j) - sum_{t>j} theta_{n-j,t-j} theta_{n,t} v_{n-t}
+            row_j = rows[-j]
+            acc = gam[j] if n < m else cross[j] if n - j < m else tail[j]
+            if j < width:
+                for t in range(j + 1, min(width, j + len(row_j)) + 1):
+                    acc -= row_j[t - j - 1] * row[t - 1] * vs[-t]
+            row[j - 1] = acc / vs[-j]
+        v = gam[0] if n < m else tail[0]
+        deviation = 0.0
+        for theta, u, w in zip(row, innovations, reversed(vs)):
+            v -= theta * theta * w
+            deviation += theta * u
+        if not v > 0:
+            raise NotPositiveDefinite(n + 1)
+        if n >= m:
+            for phi, d in zip(phis, recent):
+                deviation += phi * d
+        xhat = mean + deviation
+        rows.append(row)
+        vs.append(v)
+        yield xhat, v
 
 
 class StationaryProcessModel(PredictiveModel):
     """Adapter exposing a stationary process as a predictive model.
 
-    :meth:`predictives` is one forward Durbin-Levinson pass over the series,
-    holding only the current weight vector, so each pass repeats the
-    recursion.  AR(p) specs switch to their lag filter once the history holds
-    p values, and hand those predictives to the prequential fold as arrays
-    (:meth:`gaussian_predictives`), which scores them in one kernel call.
+    :meth:`predictives` is one pass over the series that reads each value
+    once, at a cost set by the spec's kind: O(p) per step for AR(p), whose
+    rows beyond step p the fold also scores as arrays
+    (:meth:`gaussian_predictives`); O(q^2) per step and O(max(p,q)^2) state
+    for MA(q) and ARMA(p,q); O(i) at step i for a user autocovariance, so
+    O(n^2) per pass by nature, keeping only the current weights.
     """
 
     def __init__(self, spec: StationaryProcessSpec, identifier: str | None = None):
@@ -254,28 +341,20 @@ class StationaryProcessModel(PredictiveModel):
         self.identifier = identifier or spec.label
 
     def predictives(self, x):
-        mean, ar = self.spec.mean, self.spec.ar
-        # the recursion serves every step of a general process, the first p of an AR(p)
-        p = x.size + 1 if ar is None else min(len(ar[0]), x.size + 1)
-        for i, (coefficients, v) in zip(range(p), _durbin_levinson(self.spec)):
-            yield GaussianPredictive(mean + float(np.dot(coefficients, x[:i] - mean)), v)
-        for i in range(p, x.size + 1):
-            deviation = 0.0  # sum_j phi_j (x_{i-j} - mean), in Python floats: p is small
-            for phi, xj in zip(ar[0], reversed(x[i - p : i].tolist())):
-                deviation += phi * (xj - mean)
-            yield GaussianPredictive(mean + deviation, ar[1])
+        return itertools.starmap(GaussianPredictive, _moments(self.spec, x))
 
     def predictive_at(self, history) -> GaussianPredictive:
         h = _check_history(history)
-        if self.spec.ar is not None:  # an AR(p) predictive depends on the last p values alone
-            h = h[max(h.size - len(self.spec.ar[0]), 0) :]
+        arma = self.spec.arma
+        if arma is not None and not arma[1]:  # an AR(p) predictive depends on the last p values alone
+            h = h[max(h.size - len(arma[0]), 0) :]
         return collections.deque(self.predictives(h), maxlen=1).pop()
 
     def gaussian_predictives(self, x):
-        ar = self.spec.ar
-        if ar is None or x.size <= len(ar[0]):
+        arma = self.spec.arma
+        if arma is None or arma[1] or x.size <= len(arma[0]):
             return None
-        phis, variance = ar
+        phis, _, variance = arma
         p, n, mean = len(phis), x.size, self.spec.mean
         deviation = np.zeros(n - p)  # the lag filter of predictives, same order of additions
         for j, phi in enumerate(phis, start=1):

@@ -53,6 +53,10 @@ def test_parse_ar_and_ma():
     assert ar.predictive_at([]).variance > 1.0
     ma = parse_model_spec("ma(0.4;2)")
     assert ma.predictive_at([]).variance == pytest.approx(2.0 * 1.16, rel=1e-14)
+    arma = parse_model_spec("arma(0.5;0.4;1)")
+    assert arma.identifier == "arma(0.5;0.4;1)"
+    # gamma(0) = s^2 (1 + 2 phi theta + theta^2) / (1 - phi^2)
+    assert arma.predictive_at([]).variance == pytest.approx(1.56 / 0.75, rel=1e-14)
 
 
 @pytest.mark.parametrize(
@@ -65,6 +69,10 @@ def test_parse_ar_and_ma():
         "ar(0.5,1)",
         "ar(;1)",
         "ar(0.5;1;2)",
+        "arma(0.5,0.4;1)",
+        "arma(;0.4;1)",
+        "arma(0.5;;1)",
+        "arma(0.5;0.4;1;2)",
         "mystery(1)",
         "not a spec",
     ],
@@ -262,6 +270,36 @@ def test_trace_subcommand(tmp_path, capsys):
     assert summary["aggregates"]["n"] == 40
     assert summary["aggregates"]["chosen"] == "iidnorm(0,1)"
     assert (out / "trace.csv").exists()
+
+
+def test_arma_trace_is_byte_identical_across_runs(tmp_path):
+    data = write_data(tmp_path / "d.csv", stream(3, 0).standard_normal(60))
+    outputs = []
+    for out in (tmp_path / "one", tmp_path / "two"):
+        argv = ("trace", "--model-a", "arma(0.5;0.4;1)", "--model-b", "iidnorm(0,1)", "--rule", "log")
+        assert run_cli(*argv, "--data", str(data), "--out", str(out)) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
+    assert sorted(outputs[0]) == ["summary.json", "trace.csv"]
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("arma(0.5,0.4;1)", "arma spec needs exactly 2 ';' before the variance"),
+        ("arma(1.2;0.4;1)", "AR polynomial is not stationary: partial autocorrelation kappa_1 = 1.2"),
+        ("arma(0.5;inf;1)", "MA coefficients must be finite"),
+    ],
+)
+def test_bad_arma_spec_exits_two_and_names_the_problem(tmp_path, capsys, spec, message):
+    data = write_data(tmp_path / "d.csv", [0.1, 0.7, -0.2])
+    code = run_cli(
+        "trace", "--model-a", spec, "--model-b", "iidnorm(0,2)",
+        "--rule", "log", "--data", str(data), "--out", str(tmp_path / "o"),
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_trace_flat_prior_under_gradient_rule(tmp_path):

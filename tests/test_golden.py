@@ -84,8 +84,8 @@ GOLDEN = {
         "trace.csv": "8dfab4fd753545d725f4e51d6ca73aefadbdce3376a850b78ba97a009cf3e1c9",
     },
     "trace-ma": {
-        "summary.json": "a3c5c64f3d2d5b7bf7d4ee5a290cfeda97cd1ce0f9ca3b87bebefbfa9a0be7ee",
-        "trace.csv": "3482cf87c2ffaca3754dca83ec265b083be1f3a8b263e3027973eee82793d1b9",
+        "summary.json": "97272689e87a435b2a82c5039742ca67eb06561554243c007cba4cc66158eb2b",
+        "trace.csv": "e0be0cf0d89e2068f6aa0e5a2e1f0c8ccb328c6fcd51093839862df80b9723c9",
     },
     "unit-change": {
         "summary.json": "38d8db068d3caa8a0d0d415dc3acd2b4b5ccf3c5f36d46cb1abf3d1816fddb88",

@@ -22,6 +22,7 @@ from preqscore import (
     ScoreRule,
     TransformedModel,
     ar_process,
+    arma_process,
     compensated_cumsum,
     cubic_plus_linear_transform,
     delta_trace,
@@ -166,6 +167,7 @@ SCALAR_MODELS = {
     "flatloc": lambda: flat_prior_location_model(0.8),
     "flatscale": lambda: flat_prior_scale_model(0.2),
     "ma": lambda: process_model(ma_process([0.4, -0.3], 1.1, 0.2)),
+    "arma": lambda: process_model(arma_process([0.5, -0.2], [0.4], 0.9, 0.1)),
     "transformed": lambda: TransformedModel(iid_gaussian_model(0.1, 0.9), cubic_plus_linear_transform()),
 }
 
@@ -216,9 +218,13 @@ def test_overflowing_d_n_raises_instead_of_a_nan_tie():
     with pytest.raises(NonFiniteValue, match="running sum is -inf at term 8") as info:
         delta_trace(*pair, data, "log")
     assert info.value.index == 8
-    with pytest.raises(NonFiniteValue, match="running sum is inf at term 4") as info:
+    located = r"running sum is inf at term 4 \(model 'iidnorm\(0.0,1.0\)', observation 4\)$"
+    with pytest.raises(NonFiniteValue, match=located) as info:
         select_among(pair, data, "log")
     assert info.value.index == 4
+    with pytest.raises(NonFiniteValue, match=r"\(model 'iidnorm\(0.0,2.0\)', observation 8\)$") as info:
+        select_among([pair[1], iid_gaussian_model(0.0, 4.0)], data, "log")
+    assert info.value.index == 8
     with pytest.raises(NonFiniteValue) as info:
         compensated_cumsum([1.0, math.nan])
     assert info.value.index == 2
@@ -230,6 +236,7 @@ PREFIX_MODELS = {
     "flatscale": lambda: flat_prior_scale_model(0.0),
     "ar": lambda: process_model(ar_process([0.5, -0.2], 1.0, 0.4)),
     "ma": lambda: process_model(ma_process([0.4], 1.0)),
+    "arma": lambda: process_model(arma_process([0.5], [0.4], 1.0, 0.3)),
     "transformed": lambda: TransformedModel(flat_prior_location_model(1.0), cubic_plus_linear_transform()),
 }
 
@@ -282,6 +289,54 @@ def test_rescaling_never_flips_zero_cutoff_selection(lam, seed):
     base = delta_trace(A, B, data, "log")
     scaled = delta_trace(A, B, data, rescale_rule("log", lam))
     assert select(scaled).chosen == select(base).chosen
+
+
+UNIT_PAIRS = {  # model pairs for data in units scaled by a: means scale by a, variances by a^2
+    "iidnorm": lambda a: (iid_gaussian_model(0.3 * a, 1.2 * a * a), iid_gaussian_model(-0.1 * a, 0.8 * a * a)),
+    "flatloc": lambda a: (flat_prior_location_model(0.9 * a * a), iid_gaussian_model(0.2 * a, 1.1 * a * a)),
+    "flatscale": lambda a: (flat_prior_scale_model(0.1 * a), flat_prior_location_model(1.3 * a * a)),
+    "ar": lambda a: (
+        process_model(ar_process([0.5, -0.2], 0.9 * a * a, 0.4 * a)),
+        iid_gaussian_model(0.4 * a, a * a),
+    ),
+    "ma": lambda a: (
+        process_model(ma_process([0.4], 1.1 * a * a, 0.1 * a)),
+        process_model(ar_process([0.3], a * a, 0.1 * a)),
+    ),
+    "arma": lambda a: (
+        process_model(arma_process([0.5], [0.4], a * a, -0.2 * a)),
+        process_model(ma_process([0.6], 1.2 * a * a, -0.2 * a)),
+    ),
+}
+
+
+def _side(trace):
+    return {trace.model_a: "A", trace.model_b: "B"}.get(select(trace).chosen, TIE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(UNIT_PAIRS)),
+    n=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32),
+    a=st.floats(min_value=1e-30, max_value=1e30),
+    power=st.integers(min_value=-60, max_value=60),
+)
+def test_unit_change_scales_hyvarinen_d_n_and_keeps_the_selection(kind, n, seed, a, power):
+    # The gradient-based score has dimension x^-2, so D_n scales by 1/a^2 and
+    # the zero-cutoff selection stays, unless D_n lies within rounding of 0.
+    x = 0.3 + 1.7 * stream(seed, 0).standard_normal(n)
+    base = delta_trace(*UNIT_PAIRS[kind](1.0), x, "hyvarinen")
+    size = float(np.abs(base.scores_a).sum() + np.abs(base.scores_b).sum())
+    scaled = delta_trace(*UNIT_PAIRS[kind](a), a * x, "hyvarinen")
+    assert abs(scaled.final * a * a - base.final) <= 1e-10 * size
+    if abs(base.final) > 1e-10 * size:
+        assert _side(scaled) == _side(base)
+    # a power of two changes no significand: every bit scales exactly
+    two = 2.0**power
+    exact = delta_trace(*UNIT_PAIRS[kind](two), two * x, "hyvarinen")
+    np.testing.assert_array_equal(exact.cumulative * two * two, base.cumulative)
+    assert _side(exact) == _side(base)
 
 
 def test_select_among_agrees_with_pairwise_select():

@@ -17,17 +17,13 @@ from preqscore import (
     InvalidDistribution,
     NonPositiveScale,
     NonPositiveVariance,
-    NonSPDCovariance,
     ScaledRule,
     ScoreRule,
+    ScoreValue,
     as_rule,
     check_propriety,
     gaussian_density,
-    hyvarinen_score_gaussian,
-    hyvarinen_score_generic,
-    hyvarinen_score_mvn,
     laplace_density,
-    log_score,
     rescale_rule,
     score_from_decision_problem,
     score_predictive,
@@ -48,21 +44,21 @@ from oracles import fd_first, fd_second, simplex_grid
 
 def test_log_score_at_mean_is_entropy_term():
     for v in [0.25, 1.0, 4.0]:
-        s = log_score(0.0, GaussianPredictive(0.0, v))
+        s = score_predictive(0.0, GaussianPredictive(0.0, v), "log")
         assert s.value == pytest.approx(0.5 * math.log(2.0 * math.pi * v), rel=1e-15)
         assert s.rule_id is ScoreRule.LOG
 
 
 def test_hyvarinen_gaussian_at_mean():
-    assert hyvarinen_score_gaussian(3.0, GaussianPredictive(3.0, 2.0)).value == -1.0
+    assert score_predictive(3.0, GaussianPredictive(3.0, 2.0), "hyvarinen").value == -1.0
 
 
 @pytest.mark.parametrize("x", [-1.7, 0.0, 2.4])
 @pytest.mark.parametrize("mean,variance", [(0.0, 1.0), (1.5, 0.3), (-2.0, 5.0)])
 def test_hyvarinen_gaussian_matches_generic_route(x, mean, variance):
     # Dual route: the closed normal formula against the derivative-based one.
-    closed = hyvarinen_score_gaussian(x, GaussianPredictive(mean, variance)).value
-    generic = hyvarinen_score_generic(x, gaussian_density(mean, variance)).value
+    closed = score_predictive(x, GaussianPredictive(mean, variance), "hyvarinen").value
+    generic = score_predictive(x, gaussian_density(mean, variance), "hyvarinen").value
     assert closed == pytest.approx(generic, rel=1e-14)
 
 
@@ -74,21 +70,21 @@ def test_hyvarinen_gaussian_matches_generic_route(x, mean, variance):
 @pytest.mark.parametrize("x", [-1.2, 0.4, 2.1])
 def test_hyvarinen_generic_matches_finite_difference_oracle(q, x):
     fd = 2.0 * fd_second(q.logpdf, x) + fd_first(q.logpdf, x) ** 2
-    assert hyvarinen_score_generic(x, q).value == pytest.approx(fd, rel=1e-4, abs=1e-5)
+    assert score_predictive(x, q, "hyvarinen").value == pytest.approx(fd, rel=1e-4, abs=1e-5)
 
 
 def test_hyvarinen_t3_at_center_closed_value():
     # For a t with dof 3, unit scale, the score at the center is 2*(-4/3) + 0.
-    s = hyvarinen_score_generic(0.0, student_t_density(0.0, 1.0, 3.0))
+    s = score_predictive(0.0, student_t_density(0.0, 1.0, 3.0), "hyvarinen")
     assert s.value == pytest.approx(-8.0 / 3.0, rel=1e-14)
 
 
 def test_flat_predictive_scores():
     flat = GaussianPredictive.flat()
-    assert hyvarinen_score_gaussian(12.3, flat).value == 0.0
+    assert score_predictive(12.3, flat, "hyvarinen").value == 0.0
     assert score_predictive(12.3, flat, rescale_rule("hyvarinen", 7.0)).value == 0.0
     with pytest.raises(ImproperPredictive, match="predictive density is not normalizable"):
-        log_score(12.3, flat)
+        score_predictive(12.3, flat, "log")
 
 
 def test_gaussian_predictive_validation():
@@ -103,8 +99,8 @@ def test_hyvarinen_ignores_normalization(c):
     # Multiplying the density by exp(c) changes nothing the rule looks at.
     base = student_t_density(0.3, 1.2, 4.0)
     assert (
-        hyvarinen_score_generic(0.9, shift_density(base, c)).value
-        == hyvarinen_score_generic(0.9, base).value
+        score_predictive(0.9, shift_density(base, c), "hyvarinen").value
+        == score_predictive(0.9, base, "hyvarinen").value
     )
 
 
@@ -117,50 +113,9 @@ class _LaplaceModel(PredictiveModel):
 
 def test_hyvarinen_rejects_non_smooth_density():
     with pytest.raises(HyvarinenInapplicable):
-        hyvarinen_score_generic(0.5, laplace_density(0.0, 1.0))
+        score_predictive(0.5, laplace_density(0.0, 1.0), "hyvarinen")
     with pytest.raises(HyvarinenInapplicable, match=r"\(model 'laplace', observation 1\)$"):
         delta_trace(_LaplaceModel(), iid_gaussian_model(0.0, 1.0), [0.5], "hyvarinen")
-
-
-# ---------------------------------------------------------------------------
-# Multivariate normal
-# ---------------------------------------------------------------------------
-
-
-def test_mvn_reduces_to_univariate():
-    uni = hyvarinen_score_gaussian(1.3, GaussianPredictive(0.4, 2.5)).value
-    mvn = hyvarinen_score_mvn([1.3], [0.4], [[2.5]]).value
-    assert mvn == pytest.approx(uni, rel=1e-14)
-
-
-def test_mvn_diagonal_is_sum_of_marginals():
-    x, m, v = [1.0, -0.5], [0.2, 0.1], [2.0, 0.5]
-    total = sum(
-        hyvarinen_score_gaussian(xi, GaussianPredictive(mi, vi)).value
-        for xi, mi, vi in zip(x, m, v)
-    )
-    mvn = hyvarinen_score_mvn(x, m, np.diag(v)).value
-    assert mvn == pytest.approx(total, rel=1e-13)
-
-
-def test_mvn_correlated_case_against_manual_inverse():
-    cov = np.array([[2.0, 0.6], [0.6, 1.0]])
-    x = np.array([0.7, -0.4])
-    m = np.array([0.1, 0.2])
-    det = 2.0 * 1.0 - 0.6 * 0.6
-    inv = np.array([[1.0, -0.6], [-0.6, 2.0]]) / det
-    grad = inv @ (x - m)
-    expected = -2.0 * (inv[0, 0] + inv[1, 1]) + float(grad @ grad)
-    assert hyvarinen_score_mvn(x, m, cov).value == pytest.approx(expected, rel=1e-13)
-
-
-def test_mvn_validation():
-    with pytest.raises(DimensionMismatch):
-        hyvarinen_score_mvn([1.0, 2.0], [0.0], np.eye(2))
-    with pytest.raises(NonSPDCovariance, match="symmetric"):
-        hyvarinen_score_mvn([0.0, 0.0], [0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
-    with pytest.raises(NonSPDCovariance, match="positive definite"):
-        hyvarinen_score_mvn([0.0, 0.0], [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +143,7 @@ def test_rescale_rule_composes_multiplicatively():
     with pytest.raises(NonPositiveScale, match="finite"):
         rescale_rule(ScoreRule.HYVARINEN, math.inf)
     with pytest.raises(NonPositiveScale):
-        hyvarinen_score_gaussian(1.0, GaussianPredictive.flat(), math.inf)
+        ScoreValue(0.0, ScoreRule.HYVARINEN, math.inf)
 
 
 def test_scaled_rule_scales_values_exactly():
@@ -204,11 +159,11 @@ def test_score_predictive_dispatch():
     d = gaussian_density(0.0, 1.0)
     t = StudentTPredictive(0.0, 1.0, 3.0)
     x = 0.7
-    assert score_predictive(x, q, "log").value == pytest.approx(log_score(x, q).value)
+    assert score_predictive(x, q, "log").value == pytest.approx(0.5 * math.log(2.0 * math.pi) + 0.5 * x * x, rel=1e-15)
     assert score_predictive(x, d, "log").value == pytest.approx(-d.logpdf(x))
     # .density() objects are unwrapped before scoring
     assert score_predictive(x, t, "hyvarinen").value == pytest.approx(
-        hyvarinen_score_generic(x, t.density()).value
+        score_predictive(x, t.density(), "hyvarinen").value
     )
     with pytest.raises(TypeError):
         score_predictive(x, object(), "log")

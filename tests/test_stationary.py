@@ -1,5 +1,6 @@
 """Prediction recursion checks against dense Cholesky/Schur oracles."""
 
+import collections
 import hashlib
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from preqscore import (
     NonStationary,
     NotPositiveDefinite,
     ar_process,
+    arma_process,
     delta_trace,
     durbin_levinson,
     iid_gaussian_model,
@@ -149,6 +151,12 @@ def test_process_validation():
         ma_process([0.5], -1.0)
     with pytest.raises(NonPositiveVariance):
         white_noise(0.0)
+    with pytest.raises(NonStationary, match="kappa_2"):
+        arma_process([0.5, 1.0], [0.4], 1.0)
+    overflow = r"^autocovariances gamma\(0\), \.\.\., gamma\(1\) of process .* overflow$"
+    for build in (lambda: ma_process([1e200], 1.0), lambda: arma_process([0.5], [1e200], 1.0)):
+        with pytest.raises(NonFiniteValue, match=overflow):
+            build()
 
 
 @pytest.mark.parametrize(
@@ -201,6 +209,8 @@ def test_ar_process_with_no_coefficients_is_white_noise():
 def test_labels():
     assert ar_process([0.5], 1.0).label == "ar(0.5;1.0)"
     assert ma_process([0.4, 0.3], 2.0).label == "ma(0.4,0.3;2.0)"
+    assert arma_process([0.5], [0.4, 0.3], 2.0).label == "arma(0.5;0.4,0.3;2.0)"
+    assert arma_process([], [0.4], 2.0).label == "ma(0.4;2.0)"
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +246,7 @@ def test_stream_keys_outside_64_bits_are_rejected(draw, name):
 @pytest.mark.parametrize(
     "spec, digest",
     [
-        (ma_process([0.4, 0.3], 1.0, mean=0.5), "4ba066f7edc3b19ccb4caad349c0374319ac0710c7dc98be71950d0ade7d55d9"),
+        (ma_process([0.4, 0.3], 1.0, mean=0.5), "49072e9aa1295b083b49f391c8dbf9fc7965177bb57b8989cb5816a091ce40e0"),
         (ar_process([0.5, -0.2], 1.0, mean=0.5), "b2ddf86156fa0d69d5217aa790a6d96973c41f66b12c079561c78bf9573cec6e"),
     ],
     ids=["ma2", "ar2"],
@@ -330,9 +340,11 @@ def test_trace_evaluates_each_lag_once():
 # The fold over a series
 # ---------------------------------------------------------------------------
 
-FOLD_SPECS = {  # spec and the number of steps served by the recursion (None: all)
+FOLD_SPECS = {  # spec and the number of steps served by the Durbin-Levinson recursion (None: all)
     "ar2": (ar_process([0.5, -0.2], 1.0, mean=0.4), 2),
-    "ma2": (ma_process([0.4, 0.3], 1.0, mean=0.5), None),
+    "ma2": (ma_process([0.4, 0.3], 1.0, mean=0.5), 0),
+    "arma21": (arma_process([0.5, -0.3], [0.4], 1.2, mean=-0.3), 0),
+    "ma2-autocov": (StationaryProcessSpec(0.5, ma_process([0.4, 0.3], 1.0).gamma, label="ma2-autocov"), None),
     "white": (white_noise(1.5), 0),
 }
 
@@ -350,6 +362,64 @@ def test_process_fold_equals_predictive_at_and_the_recursion(name):
         if i < 40 and (p is None or i < p):
             st = states[i]
             assert (q.mean, q.variance) == (st.conditional_mean(x[:i], spec.mean), st.conditional_variance)
+
+
+INNOVATIONS_SPECS = {
+    "ma1": ma_process([0.4], 1.0, mean=0.5),
+    "ma2": ma_process([0.4, 0.3], 2.0),
+    "ma3": ma_process([0.5, -0.2, 0.1], 1.3, mean=-1.0),
+    "arma11": arma_process([0.5], [0.4], 1.0, mean=2.0),
+    "arma21": arma_process([0.5, -0.3], [0.4], 1.5),
+}
+
+
+def _weights(model, i):
+    """Prediction weights of X_i on x_1..x_{i-1} (history order), read off the
+    pass by linearity: the centered mean given the j-th unit history."""
+    mean = model.spec.mean
+    return np.array([model.predictive_at(mean + np.eye(i - 1)[j]).mean - mean for j in range(i - 1)])
+
+
+@pytest.mark.parametrize("name", sorted(INNOVATIONS_SPECS))
+def test_innovations_match_dense_oracle(name):
+    spec = INNOVATIONS_SPECS[name]
+    model = process_model(spec)
+    x = sample_path(spec, 500, seed=5)
+    fold = list(model.predictives(x))
+    gammas = [spec.gamma(k) for k in range(500)]
+    for i in [1, 2, 3, 4, 5, 10, 40, 200, 500]:
+        coef, var = conditional_gaussian_oracle(gammas.__getitem__, i)
+        q = fold[i - 1]
+        assert abs(q.variance - var) <= 1e-12 * var
+        terms = coef * (x[: i - 1] - spec.mean)
+        assert abs(q.mean - (spec.mean + terms.sum())) <= 1e-12 * (abs(spec.mean) + np.abs(terms).sum())
+        if i <= 40:
+            np.testing.assert_allclose(_weights(model, i), coef, rtol=1e-12, atol=1e-12 * np.abs(coef).max(initial=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(INNOVATIONS_SPECS))
+def test_innovations_variance_decreases_to_innovation_variance(name):
+    spec = INNOVATIONS_SPECS[name]
+    s2 = spec.arma[2]
+    v = [q.variance for q in process_model(spec).predictives(np.zeros(400))]
+    assert all(b <= a * (1 + 4e-16) for a, b in zip(v, v[1:]))  # non-increasing up to rounding
+    assert v[0] > v[1] > s2
+    assert abs(v[-1] - s2) <= 1e-14 * s2
+
+
+def test_innovations_pass_memory_does_not_grow_with_n():
+    x = stream(4, 0).standard_normal(10**4)
+    model = process_model(ma_process([0.4], 1.0))
+    peaks = []
+    for n in (10**3, 10**4):
+        tracemalloc.start()
+        try:
+            collections.deque(model.predictives(x[:n]), maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 512
+    assert peaks[1] < 64e3
 
 
 def test_ma_trace_keeps_only_the_current_weights():
