@@ -9,6 +9,7 @@ the very first observation and the comparison proceeds as usual.
 import numpy as np
 
 from preqscore import (
+    FLAT_DENSITY,
     ImproperPredictive,
     ScoreRule,
     delta_trace,
@@ -47,7 +48,7 @@ def main():
     print("\npredictive after n observations (flat prior on the mean):")
     for n in (0, 1, 2, 5, 20, 80):
         p = flat.predictive_at(data[:n])
-        if p.improper_flat:
+        if p is FLAT_DENSITY:
             print(f"  n = {n:>2}: improper flat predictive")
         else:
             print(f"  n = {n:>2}: N({p.mean:+.4f}, {p.variance:.4f})")

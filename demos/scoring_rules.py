@@ -7,8 +7,8 @@ ones) never enter.
 """
 
 from preqscore import (
+    FLAT_DENSITY,
     GaussianPredictive,
-    gaussian_density,
     score_predictive,
     shift_density,
     student_t_density,
@@ -31,14 +31,15 @@ def main():
     print(f"\nt3 density vs the same density times e^5:")
     print(f"  gradient scores {s_base:.6f} and {s_bump:.6f}, equal: {s_base == s_bump}")
 
-    # Closed Gaussian formula and the generic derivative route agree.
+    # Closed Gaussian formula and the generic derivative route, through the
+    # same law's .density(), agree.
     closed = score_predictive(x, q, "hyvarinen").value
-    generic = score_predictive(x, gaussian_density(0.0, 2.0), "hyvarinen").value
+    generic = score_predictive(x, q.density(), "hyvarinen").value
     print(f"\nclosed form {closed:.12f} vs derivative route {generic:.12f}")
 
-    # The flat predictive has no log score at all, but its log density is
-    # constant, so the gradient score is exactly zero.
-    flat = GaussianPredictive.flat()
+    # The flat predictive is an improper density: no log score at all, but its
+    # log density is constant, so the gradient score is exactly zero.
+    flat = FLAT_DENSITY
     print(f"\nflat predictive: gradient score = {score_predictive(x, flat, 'hyvarinen').value}")
     try:
         score_predictive(x, flat, "log")

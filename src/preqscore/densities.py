@@ -23,6 +23,7 @@ from .errors import ImproperPredictive, NonMonotoneTransform, NonPositiveVarianc
 
 __all__ = [
     "DensityWithDerivatives",
+    "FLAT_DENSITY",
     "gaussian_density",
     "student_t_density",
     "laplace_density",
@@ -62,6 +63,18 @@ class DensityWithDerivatives:
     smooth: bool = True
     improper_error: type = field(default=ImproperPredictive, repr=False)
 
+    def density(self) -> "DensityWithDerivatives":
+        return self
+
+
+# The flat predictive on the line: constant log density, so zero derivatives.
+FLAT_DENSITY = DensityWithDerivatives(
+    logpdf=lambda x: 0.0,
+    dlogpdf=lambda x: 0.0,
+    d2logpdf=lambda x: 0.0,
+    proper=False,
+)
+
 
 def gaussian_density(mean: float, variance: float) -> DensityWithDerivatives:
     """Normal density with explicit log-derivatives."""
@@ -98,7 +111,8 @@ def student_t_density(center: float, scale: float, dof: float) -> DensityWithDer
 
     def d2logpdf(x: float) -> float:
         z = (x - center) / scale
-        return -(dof + 1.0) * (dof - z * z) / (scale**2 * (dof + z * z) ** 2)
+        w = dof + z * z
+        return -(dof + 1.0) * (dof - z * z) / (scale * scale * (w * w))
 
     return DensityWithDerivatives(logpdf, dlogpdf, d2logpdf)
 

@@ -36,7 +36,7 @@ from .densities import (
     gaussian_density,
     pushforward_density,
 )
-from .errors import IndexOutOfRange, NonPositiveScale
+from .errors import IndexOutOfRange, NonFiniteValue, NonPositiveScale
 from .models import PredictiveModel, iid_gaussian_model
 from .prequential import TIE, DeltaTrace, _argmin, _choose, _score_matrix, delta_trace
 from .scores import _DENSITY_KERNELS, ScoreRule
@@ -235,12 +235,16 @@ def _selection_frequency(records: Sequence[dict], key: str, target: str) -> floa
     return hits / len(records)
 
 
-def _pooled_mean_se(records: Sequence[dict], sum_key: str, sumsq_key: str) -> tuple[float, float, int]:
-    """Pooled per-step mean and its standard error from per-replicate sums."""
+def _pooled_mean_se(records: Sequence[dict], rule: str) -> tuple[float, float, int]:
+    """Pooled per-step mean and its standard error from per-replicate sums; an overflow raises."""
     n_total = sum(rec["n"] for rec in records)
-    mean = _fsum_key(records, sum_key) / n_total
-    sumsq = _fsum_key(records, sumsq_key)
-    var = (sumsq - n_total * mean * mean) / max(1, n_total - 1)
+    try:
+        mean = _fsum_key(records, f"d_n_{rule}") / n_total
+        var = (_fsum_key(records, f"sum_sq_delta_{rule}") - n_total * mean * mean) / max(1, n_total - 1)
+    except OverflowError:
+        var = math.inf
+    if not math.isfinite(var):
+        raise NonFiniteValue(f"se_{rule} is not finite: the sums of {rule} score differences or their squares overflow")
     return mean, math.sqrt(max(0.0, var) / n_total), n_total
 
 
@@ -348,7 +352,8 @@ def run_variance_expectation(config: ExperimentConfig) -> ReplicationResult:
         for rule in _RULE_KEYS:
             delta = _per_step(pair, x, rule)
             _decide(rec, rule, delta, config, pair)
-            rec[f"sum_sq_delta_{rule}"] = float(np.dot(delta, delta))
+            with np.errstate(over="ignore"):  # an inf here makes se_<rule> raise
+                rec[f"sum_sq_delta_{rule}"] = float(np.dot(delta, delta))
 
     return _run(config, Experiment.VARIANCE_EXPECTATION, fill)
 
@@ -505,7 +510,7 @@ def aggregates_for(config: ExperimentConfig, records: Sequence[dict]) -> dict:
         agg["theory_log"] = expected_log_delta(config.xi)
         agg["theory_hyvarinen"] = expected_hyvarinen_delta(config.xi, config.tau_q2)
         for rule in _RULE_KEYS:
-            mean, se, n_total = _pooled_mean_se(records, f"d_n_{rule}", f"sum_sq_delta_{rule}")
+            mean, se, n_total = _pooled_mean_se(records, rule)
             agg[f"mean_delta_{rule}"] = mean
             agg[f"se_{rule}"] = se
             agg[f"selection_frequency_{rule}"] = _selection_frequency(records, f"chosen_{rule}", _true_model(config).identifier)

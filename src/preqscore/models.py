@@ -8,12 +8,12 @@ improper, which breaks the log score but not gradient-based scoring.
 
 Predictives are full Bayesian (parameters integrated out), not plug-in.
 Models hold no mutable state: a pass over a series is the generator
-``predictives``, and every built-in kind carries O(1) state through it (the
-flat-prior models a list of Shewchuk partials, a transformed model the pulled
-back series), so a pass is O(n).  Sufficient statistics are reduced with
-``math.fsum`` so that any permutation of an exchangeable history yields
-bit-identical predictives; the partials are the ones ``math.fsum`` keeps, so
-a pass and ``predictive_at`` agree bit for bit.
+``predictives``, O(n) for every built-in kind.  It carries O(1) state (the
+flat-prior models a list of Shewchuk partials), except that a transformed
+model keeps the pulled-back series, an O(n) array.  Sufficient statistics are
+reduced with ``math.fsum`` so that any permutation of an exchangeable
+history yields bit-identical predictives; the partials are the ones
+``math.fsum`` keeps, so a pass and ``predictive_at`` agree bit for bit.
 """
 
 from __future__ import annotations
@@ -26,13 +26,14 @@ from typing import Sequence
 import numpy as np
 
 from .densities import (
+    FLAT_DENSITY,
     DensityWithDerivatives,
     MonotoneTransform,
     pushforward_density,
     student_t_density,
 )
 from .errors import InsufficientHistory, NonFiniteValue, NonPositiveVariance
-from .scores import GaussianPredictive, _density_of
+from .scores import GaussianPredictive
 
 __all__ = [
     "PredictiveModel",
@@ -157,7 +158,7 @@ class IIDGaussianModel(PredictiveModel):
 class FlatPriorLocationModel(PredictiveModel):
     """Normal model with known variance and a flat prior on the mean.
 
-    With no data the predictive is the improper flat density.  After n
+    With no data the predictive is the improper :data:`FLAT_DENSITY`.  After n
     observations the posterior for the mean is N(sample mean, v/n), giving
     the proper predictive N(sample mean, v (1 + 1/n)).
     """
@@ -169,16 +170,16 @@ class FlatPriorLocationModel(PredictiveModel):
         self.variance = float(variance)
         self.identifier = identifier or f"flatloc({self.variance})"
 
-    def predictive_at(self, history) -> GaussianPredictive:
+    def predictive_at(self, history):
         h = _check_history(history)
         n = h.size
         if n == 0:
-            return GaussianPredictive.flat()
+            return FLAT_DENSITY
         center = math.fsum(h) / n
         return GaussianPredictive(center, self.variance * (1.0 + 1.0 / n))
 
     def predictives(self, x):
-        yield GaussianPredictive.flat()
+        yield FLAT_DENSITY
         partials = []
         for n in range(1, x.size + 1):
             _fsum_add(partials, float(x[n - 1]))
@@ -209,15 +210,16 @@ class FlatPriorScaleModel(PredictiveModel):
         h = _check_history(history)
         if h.size == 0:
             return self._improper_start()
-        return self._posterior(math.fsum((x - self.mean) ** 2 for x in h), h.size)
+        return self._posterior(math.fsum(d * d for d in (h - self.mean).tolist()), h.size)
 
     def predictives(self, x):
         yield self._improper_start()
         partials, overflowed = [], False
         for n in range(1, x.size + 1):
-            term = (x[n - 1] - self.mean) ** 2  # a numpy scalar, squared as in predictive_at
+            d = float(x[n - 1]) - self.mean
+            term = d * d  # as in predictive_at: ``**`` on a float calls libm pow
             if math.isfinite(term):
-                _fsum_add(partials, float(term))
+                _fsum_add(partials, term)
             else:  # fsum's sum is then inf, and it drops its partials
                 partials.clear()
                 overflowed = True
@@ -228,7 +230,7 @@ class FlatPriorScaleModel(PredictiveModel):
         return DensityWithDerivatives(
             logpdf=lambda x: -math.log(abs(x - mean)),
             dlogpdf=lambda x: -1.0 / (x - mean),
-            d2logpdf=lambda x: 1.0 / (x - mean) ** 2,
+            d2logpdf=lambda x: 1.0 / ((x - mean) * (x - mean)),
             proper=False,
             smooth=True,
             improper_error=InsufficientHistory,
@@ -276,12 +278,12 @@ class TransformedModel(PredictiveModel):
     def predictive_at(self, history) -> DensityWithDerivatives:
         h = _check_history(history)
         pulled = np.array([self.transform.inverse(float(v)) for v in h])
-        return pushforward_density(_density_of(self.inner.predictive_at(pulled)), self.transform)
+        return pushforward_density(self.inner.predictive_at(pulled).density(), self.transform)
 
     def predictives(self, x):
         pulled = np.empty(x.size)
         for i, q in enumerate(self.inner.predictives(pulled)):
-            yield pushforward_density(_density_of(q), self.transform)
+            yield pushforward_density(q.density(), self.transform)
             if i < x.size:  # filled in place after the inner pass yields predictive i + 1
                 v = self.transform.inverse(float(x[i]))
                 if not math.isfinite(v):

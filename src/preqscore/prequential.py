@@ -126,9 +126,9 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
     the coerced rule.  Row tails filled by :func:`_array_rows` are skipped;
     the scalar loop scores the rest from one ``predictives`` pass per model,
     visiting observations in order and, at each one, the models in list
-    order.  A failure is re-raised with the model and the 1-based index of
-    the offending observation attached; arithmetic failures and non-finite
-    scores become :class:`NonFiniteValue`.
+    order.  A ``PreqscoreError`` or ``ValueError`` keeps its class and is
+    re-raised with the model and the 1-based index of the observation; an
+    arithmetic failure or non-finite score becomes :class:`NonFiniteValue`.
     """
     r = as_rule(rule)
     x = _check_history(data)
@@ -146,7 +146,7 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
                     raise NonFiniteValue(f"score is {value!r}")
             except ArithmeticError as e:
                 raise _located(NonFiniteValue(f"score is not finite: {e!r}"), model, i) from e
-            except PreqscoreError as e:
+            except (PreqscoreError, ValueError) as e:
                 raise _located(e, model, i) from e
             scores[m, i] = value
     return x, scores, r
@@ -178,7 +178,7 @@ def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule,
     return ends if np.isfinite(scores).all() else scalar
 
 
-def _located(e: PreqscoreError, model: PredictiveModel, i: int) -> PreqscoreError:
+def _located(e: Exception, model: PredictiveModel, i: int) -> Exception:
     """Copy of ``e``, attributes kept, whose message names the model and observation
     i + 1, which also becomes the index of an unindexed :class:`NonFiniteValue`."""
     err = copy.copy(e)

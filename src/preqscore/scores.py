@@ -123,32 +123,24 @@ class ScoreValue:
 
 @dataclass(frozen=True)
 class GaussianPredictive:
-    """One-step normal predictive law, or the improper flat predictive.
+    """One-step normal predictive law N(mean, variance), always proper.
 
-    When ``improper_flat`` is True the mean and variance are ignored (kept
-    as NaN poison values) and the object stands for the non-normalizable
-    uniform density on the line, whose log density is constant.
+    Scored with the closed normal formulas; :meth:`density` gives the same
+    law as a density.  An improper predictive is a density, such as
+    :data:`~preqscore.densities.FLAT_DENSITY`.
     """
 
     mean: float
     variance: float
-    improper_flat: bool = False
 
     def __post_init__(self):
-        if self.improper_flat:
-            return
         if not math.isfinite(self.mean):
             raise NonFiniteValue(f"mean must be finite, got {self.mean}")
         if not (math.isfinite(self.variance) and self.variance > 0):
             raise NonPositiveVariance(f"variance must be positive, got {self.variance}")
 
-    @property
-    def proper(self) -> bool:
-        return not self.improper_flat
-
-    @classmethod
-    def flat(cls) -> "GaussianPredictive":
-        return cls(mean=math.nan, variance=math.nan, improper_flat=True)
+    def density(self) -> DensityWithDerivatives:
+        return gaussian_density(self.mean, self.variance)
 
 
 def _gaussian_log_score(x, mean: float, variance: float):
@@ -170,7 +162,8 @@ def _density_log_score(q: DensityWithDerivatives, x: float) -> float:
 
 def _density_hyvarinen_score(q: DensityWithDerivatives, x: float) -> float:
     """Raw gradient-based score of a density at ``x``; the caller checks ``q.smooth``."""
-    return 2.0 * q.d2logpdf(x) + q.dlogpdf(x) ** 2
+    g = q.dlogpdf(x)
+    return 2.0 * q.d2logpdf(x) + g * g
 
 
 # The raw kernels by rule.  :func:`_score` applies them to one observation,
@@ -180,42 +173,20 @@ _GAUSSIAN_KERNELS = {ScoreRule.LOG: _gaussian_log_score, ScoreRule.HYVARINEN: _g
 _DENSITY_KERNELS = {ScoreRule.LOG: _density_log_score, ScoreRule.HYVARINEN: _density_hyvarinen_score}
 
 
-# The flat predictive as a density: constant log density, so zero derivatives.
-_FLAT_DENSITY = DensityWithDerivatives(
-    logpdf=lambda x: 0.0,
-    dlogpdf=lambda x: 0.0,
-    d2logpdf=lambda x: 0.0,
-    proper=False,
-)
-
-
-def _density_of(predictive) -> DensityWithDerivatives:
-    """View any predictive this package produces as a density with derivatives.
-
-    The flat :class:`GaussianPredictive` maps to the improper constant
-    density, and objects exposing ``.density()`` are unwrapped.
-    """
-    if isinstance(predictive, DensityWithDerivatives):
-        return predictive
-    if isinstance(predictive, GaussianPredictive):
-        if predictive.improper_flat:
-            return _FLAT_DENSITY
-        return gaussian_density(predictive.mean, predictive.variance)
-    if hasattr(predictive, "density"):
-        return _density_of(predictive.density())
-    raise TypeError(f"cannot score object of type {type(predictive).__name__}")
-
-
 def _score(x: float, predictive, base: ScoreRule) -> float:
     """Unscaled score of ``x``: the one place that decides how a predictive meets a rule.
 
-    A proper normal law takes the closed formulas; any other predictive, the
-    flat one included, is scored as a density from its log-derivatives."""
+    A :class:`GaussianPredictive` takes the closed normal formulas; any other
+    predictive, the improper ones included, is scored from the log-derivatives
+    of the density its ``.density()`` returns."""
     if base not in _DENSITY_KERNELS:
         raise ValueError(f"rule {base.value} is not defined for predictive densities")
-    if isinstance(predictive, GaussianPredictive) and predictive.proper:
+    if isinstance(predictive, GaussianPredictive):
         return _GAUSSIAN_KERNELS[base](x, predictive.mean, predictive.variance)
-    q = _density_of(predictive)
+    density = getattr(predictive, "density", None)
+    if density is None:
+        raise TypeError(f"cannot score object of type {type(predictive).__name__}")
+    q = density()
     if base is ScoreRule.LOG and not q.proper:
         raise q.improper_error("log score undefined: predictive density is not normalizable")
     if base is ScoreRule.HYVARINEN and not q.smooth:
@@ -226,9 +197,9 @@ def _score(x: float, predictive, base: ScoreRule) -> float:
 def score_predictive(x: float, predictive, rule) -> ScoreValue:
     """Score one observation under any predictive this package produces.
 
-    A proper :class:`GaussianPredictive` is scored with the closed normal
-    formulas; every other predictive is viewed as a density first (see
-    :func:`_score`) and scored from its declared log-derivatives.
+    A :class:`GaussianPredictive` is scored with the closed normal formulas;
+    every other predictive is scored from the declared log-derivatives of its
+    ``.density()`` (see :func:`_score`).
     """
     r = as_rule(rule)
     return ScoreValue(r.scale * _score(x, predictive, r.base), r.base, r.scale)

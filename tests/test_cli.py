@@ -456,6 +456,21 @@ def test_config_overflow_exits_two_without_traceback(tmp_path, cli_env, argv, fi
     assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_squared_deltas_exit_two_without_warning(tmp_path, cli_env):
+    # every per-step delta is finite; the sum of their squares is not
+    argv = ("variance-expectation", "--xi", "1e170", "--tauq2", "1e-120", "--n", "20", "--reps", "2")
+    proc = subprocess.run(
+        [sys.executable, "-m", "preqscore", "experiment", *argv, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+    )
+    assert proc.returncode == 2
+    assert "error: se_log is not finite" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "spec, name",
     [("ar(0.5;inf)", "innovation_variance"), ("ma(nan;1)", "MA coefficients"), ("iidnorm(nan,1)", "mean")],

@@ -12,6 +12,7 @@ from preqscore import (
     Experiment,
     ExperimentConfig,
     IndexOutOfRange,
+    NonFiniteValue,
     NonPositiveScale,
     affine_transform,
     delta_trace,
@@ -183,6 +184,19 @@ def test_variance_expectation_degenerate_ratio_gives_exact_zero():
     assert res.aggregates["se_hyvarinen"] == 0.0
     assert res.aggregates["selection_frequency_log"] == 0.5  # every replicate ties
     assert res.passed
+
+
+def test_overflowing_squared_deltas_raise_named_errors():
+    # the suite turns numpy's overflow warning into an error, so none may be emitted
+    with pytest.raises(NonFiniteValue, match=r"^se_log is not finite: "):
+        run_variance_expectation(cfg("variance-expectation", xi=1e170, tau_q2=1e-120, n=20, replicates=2))
+    # finite per-replicate sums whose pooled reduction overflows
+    res = run_variance_expectation(cfg("variance-expectation", n=20, replicates=2))
+    for key, value in (("sum_sq_delta_log", 1.5e308), ("d_n_hyvarinen", 1e200)):
+        records = [dict(rec, **{key: value}) for rec in res.records]
+        rule = key.rsplit("_", 1)[1]
+        with pytest.raises(NonFiniteValue, match=f"^se_{rule} is not finite"):
+            aggregates_for(res.config, records)
 
 
 def test_aggregates_are_order_independent():

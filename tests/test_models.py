@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from preqscore import (
+    FLAT_DENSITY,
     GaussianPredictive,
     ImproperPredictive,
     InsufficientHistory,
@@ -77,11 +78,15 @@ def test_history_validation():
 
 
 def test_location_model_empty_history_is_flat():
-    q = flat_prior_location_model(1.0).predictive_at([])
-    assert q.improper_flat
+    m = flat_prior_location_model(1.0)
+    q = m.predictive_at([])
+    assert q is FLAT_DENSITY
+    assert next(m.predictives(np.array([3.7]))) is FLAT_DENSITY
     assert score_predictive(3.7, q, "hyvarinen").value == 0.0
     with pytest.raises(ImproperPredictive):
         score_predictive(3.7, q, "log")
+    with pytest.raises(ImproperPredictive, match=r"\(model 'flatloc\(1\.0\)', observation 1\)$"):
+        delta_trace(m, iid_gaussian_model(0.0, 1.0), [3.7, 0.2], "log")
 
 
 def test_location_model_posterior_predictive_moments():
@@ -271,7 +276,7 @@ FOLD_MODELS = {
 def _bits(q, y: float):
     """The parameters of a predictive as hex strings; a density's by its log-derivatives at ``y``."""
     if isinstance(q, GaussianPredictive):
-        return ("flat",) if q.improper_flat else (q.mean.hex(), q.variance.hex())
+        return (q.mean.hex(), q.variance.hex())
     if isinstance(q, StudentTPredictive):
         return (q.center.hex(), q.scale.hex(), q.dof.hex())
     out = [q.proper, q.smooth]

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from preqscore import (
     TIE,
+    DensityWithDerivatives,
     GaussianPredictive,
+    MonotoneTransform,
     PredictiveModel,
     TRACE_CSV_COLUMNS,
     DeltaTrace,
@@ -36,6 +38,7 @@ from preqscore import (
     select,
     select_among,
     stream,
+    student_t_density,
     trace_csv_text,
     write_trace_csv,
 )
@@ -402,6 +405,59 @@ def test_error_context_keeps_the_error_attributes():
         delta_trace(bad, A, [0.1, 0.2, 0.3], "log")
     assert info.value.dimension == 2
     assert str(info.value) == "leading 2x2 covariance block is not positive definite (model 'bad', observation 2)"
+
+
+class _DensityModel(PredictiveModel):
+    """A user model whose predictives are densities, optionally wrapped in an
+    object that defines nothing but ``.density()``."""
+
+    def __init__(self, identifier, density_at, wrap=False):
+        self.identifier, self.density_at, self.wrap = identifier, density_at, wrap
+
+    def predictive_at(self, history):
+        q = self.density_at(len(history))
+        if not self.wrap:
+            return q
+
+        class Wrapped:
+            def density(self):
+                return q
+
+        return Wrapped()
+
+
+@pytest.mark.parametrize("rule", ["log", "hyvarinen", rescale_rule("hyvarinen", 0.3)])
+def test_predictive_with_only_a_density_method_scores_like_its_density(rule):
+    def density_at(n):
+        return student_t_density(0.1 * n, 1.0 + n, 3.0 + n)
+
+    x = 0.4 + stream(3, 0).standard_normal(12)
+    wrapped = delta_trace(_DensityModel("user", density_at, wrap=True), A, x, rule)
+    direct = delta_trace(_DensityModel("user", density_at), A, x, rule)
+    assert wrapped.scores_a.tobytes() == direct.scores_a.tobytes()
+
+
+def _log_of_x(n):
+    return DensityWithDerivatives(logpdf=math.log, dlogpdf=lambda x: 1.0 / x, d2logpdf=lambda x: -1.0 / (x * x))
+
+
+# g = x with a declared derivative dg(x) = x that is not positive at -2
+_BAD_DERIVATIVE = MonotoneTransform(
+    g=lambda x: x, dg=lambda x: x, d2g=lambda x: 1.0, d3g=lambda x: 0.0, inverse=lambda y: y, name="bad"
+)
+
+
+@pytest.mark.parametrize(
+    "model, identifier",
+    [
+        (_DensityModel("user", _log_of_x), "user"),
+        (TransformedModel(iid_gaussian_model(0.0, 1.0), _BAD_DERIVATIVE), "bad:iidnorm(0.0,1.0)"),
+    ],
+)
+def test_value_error_inside_a_density_is_located(model, identifier):
+    with pytest.raises(ValueError, match=rf"^math domain error \(model '{re.escape(identifier)}', observation 2\)$") as info:
+        delta_trace(model, A, [1.0, -2.0, 3.0], "log")
+    assert type(info.value) is ValueError
 
 
 def test_hyvarinen_rule_tolerates_improper_starts():

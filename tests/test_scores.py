@@ -1,5 +1,6 @@
 """Scoring rule checks: closed forms vs derivative oracles, dispatch, propriety."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from preqscore import (
+    FLAT_DENSITY,
     DecisionProblem,
     DimensionMismatch,
     GaussianPredictive,
@@ -15,6 +17,7 @@ from preqscore import (
     ImproperPredictive,
     InsufficientHistory,
     InvalidDistribution,
+    NonFiniteValue,
     NonPositiveScale,
     NonPositiveVariance,
     ScaledRule,
@@ -80,7 +83,7 @@ def test_hyvarinen_t3_at_center_closed_value():
 
 
 def test_flat_predictive_scores():
-    flat = GaussianPredictive.flat()
+    flat = FLAT_DENSITY
     assert score_predictive(12.3, flat, "hyvarinen").value == 0.0
     assert score_predictive(12.3, flat, rescale_rule("hyvarinen", 7.0)).value == 0.0
     with pytest.raises(ImproperPredictive, match="predictive density is not normalizable"):
@@ -92,6 +95,10 @@ def test_gaussian_predictive_validation():
         GaussianPredictive(0.0, 0.0)
     with pytest.raises(ValueError):
         GaussianPredictive(math.nan, 1.0)
+    # no field lets NaN through: the flat law is FLAT_DENSITY, not a normal
+    with pytest.raises(NonFiniteValue):
+        GaussianPredictive(math.nan, math.nan)
+    assert [f.name for f in dataclasses.fields(GaussianPredictive)] == ["mean", "variance"]
 
 
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
@@ -174,7 +181,7 @@ def test_score_predictive_dispatch():
 @pytest.mark.parametrize(
     "predictive, rule, error",
     [
-        (GaussianPredictive.flat(), ScoreRule.LOG, ImproperPredictive),
+        (FLAT_DENSITY, ScoreRule.LOG, ImproperPredictive),
         (flat_prior_scale_model(0.0).predictive_at([]), ScoreRule.LOG, InsufficientHistory),
         (laplace_density(0.0, 1.0), ScoreRule.HYVARINEN, HyvarinenInapplicable),
         (GaussianPredictive(0.0, 1.0), ScoreRule.DECISION_INDUCED, ValueError),
