@@ -39,7 +39,7 @@ from .densities import (
 from .errors import IndexOutOfRange, NonFiniteValue, NonPositiveScale
 from .models import PredictiveModel, iid_gaussian_model
 from .prequential import TIE, DeltaTrace, _argmin, _choose, _score_matrix, delta_trace
-from .scores import _DENSITY_KERNELS, ScoreRule
+from .scores import ScoreRule, _density_hyvarinen_score, _density_log_score
 from .stationary import Ar1MarkovModel, StationaryProcessModel, sample_path
 from .streams import stream
 
@@ -470,8 +470,8 @@ def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform
         y = np.array([t.g(float(v)) for v in x])
         for rule in _RULE_KEYS:
             delta_x = _per_step(pair, x, rule)
-            kernel = _DENSITY_KERNELS[ScoreRule(rule)]
-            delta_y = np.array([kernel(dens_y[1], v) - kernel(dens_y[0], v) for v in y.tolist()])
+            kernel = _density_log_score if rule == ScoreRule.LOG.value else _density_hyvarinen_score
+            delta_y = np.array([kernel(v, dens_y[1]) - kernel(v, dens_y[0]) for v in y.tolist()])
             gap = np.abs(delta_y - delta_x)
             if rule == ScoreRule.LOG.value:
                 rec["log_delta_gap"] = float(np.max(gap))

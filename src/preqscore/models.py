@@ -14,13 +14,16 @@ model keeps the pulled-back series, an O(n) array.  Sufficient statistics are
 reduced with ``math.fsum`` so that any permutation of an exchangeable
 history yields bit-identical predictives; the partials are the ones
 ``math.fsum`` keeps, so a pass and ``predictive_at`` agree bit for bit.
+``predictive_rows`` gives the same laws as arrays of one family: normal for iid
+normal and flatloc, Student-t for flatscale, the last two from their passes'
+running sums and only under hyvarinen, since under log their start raises.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -30,37 +33,17 @@ from .densities import (
     DensityWithDerivatives,
     MonotoneTransform,
     pushforward_density,
-    student_t_density,
 )
 from .errors import InsufficientHistory, NonFiniteValue, NonPositiveVariance
-from .scores import GaussianPredictive
+from .scores import GaussianPredictive, ScoreRule, StudentTPredictive, _density
 
 __all__ = [
     "PredictiveModel",
-    "StudentTPredictive",
     "TransformedModel",
     "iid_gaussian_model",
     "flat_prior_location_model",
     "flat_prior_scale_model",
 ]
-
-
-@dataclass(frozen=True)
-class StudentTPredictive:
-    """Location-scale Student-t one-step predictive (always proper, C2)."""
-
-    center: float
-    scale: float
-    dof: float
-
-    def __post_init__(self):
-        if not self.scale > 0:
-            raise NonPositiveVariance(f"scale must be positive, got {self.scale}")
-        if not self.dof > 0:
-            raise NonPositiveVariance(f"dof must be positive, got {self.dof}")
-
-    def density(self) -> DensityWithDerivatives:
-        return student_t_density(self.center, self.scale, self.dof)
 
 
 class PredictiveModel:
@@ -80,12 +63,11 @@ class PredictiveModel:
         for i in range(x.size + 1):
             yield self.predictive_at(x[:i])
 
-    def gaussian_predictives(self, x: np.ndarray):
-        """``(k, means, variance)``: for observations k+1..n of the validated
-        series ``x`` the predictive is N(means, variance), bit for bit equal to
-        ``predictive_at(x[:i])``; ``means`` is a float or holds n - k entries.
-        The prequential fold scores those observations as arrays.  The default,
-        None, leaves every step to ``predictives``."""
+    def predictive_rows(self, x: np.ndarray, rule: ScoreRule):
+        """``(k, family, laws)``: for observations k+1..n of the validated series ``x``
+        the predictive is the ``family`` law whose fields ``laws`` holds, each a float or
+        n - k entries, bit for bit ``predictive_at(x[:i])``; the fold scores them as
+        arrays under ``rule``.  The default, None, leaves every step to ``predictives``."""
         return None
 
     def __repr__(self):
@@ -108,22 +90,31 @@ def _non_finite(i: int, v: float) -> NonFiniteValue:
     return NonFiniteValue(f"observation {i} is {float(v)!r}; observations must be finite", index=i)
 
 
-def _fsum_add(partials: list, v: float) -> None:
-    """Add ``v`` to the Shewchuk partials in place, as one step of ``math.fsum``
-    (CPython's msum), so ``math.fsum(partials)`` is the fsum of the items added."""
-    i = 0
-    for y in partials:
-        if abs(v) < abs(y):
-            v, y = y, v
-        hi = v + y
-        lo = y - (hi - v)
-        if lo:
-            partials[i] = lo
-            i += 1
-        v = hi
-    if not math.isfinite(v):
-        raise OverflowError("intermediate overflow in fsum")
-    partials[i:] = [v] if v else []
+def _prefix_fsums(terms):
+    """``math.fsum`` of each prefix of ``terms`` (finite or +inf), bit for bit: each
+    finite term updates the Shewchuk partials as a step of fsum (CPython's msum)
+    does, and is read only after the sum before it is yielded.  As in fsum, a +inf
+    term makes every later sum inf, and a finite sum that overflows raises."""
+    partials, overflowed = [], False
+    for v in terms:
+        if math.isfinite(v):
+            i = 0
+            for y in partials:
+                if abs(v) < abs(y):
+                    v, y = y, v
+                hi = v + y
+                lo = y - (hi - v)
+                if lo:
+                    partials[i] = lo
+                    i += 1
+                v = hi
+            if not math.isfinite(v):
+                raise OverflowError("intermediate overflow in fsum")
+            partials[i:] = [v] if v else []
+        else:
+            partials.clear()
+            overflowed = True
+        yield math.inf if overflowed else math.fsum(partials)
 
 
 def _require_finite(**params: float) -> None:
@@ -151,8 +142,8 @@ class IIDGaussianModel(PredictiveModel):
     def predictives(self, x):
         return itertools.repeat(GaussianPredictive(self.mean, self.variance), x.size + 1)
 
-    def gaussian_predictives(self, x):
-        return 0, self.mean, self.variance
+    def predictive_rows(self, x, rule):
+        return 0, GaussianPredictive, self  # whose mean and variance are every law's
 
 
 class FlatPriorLocationModel(PredictiveModel):
@@ -175,15 +166,19 @@ class FlatPriorLocationModel(PredictiveModel):
         n = h.size
         if n == 0:
             return FLAT_DENSITY
-        center = math.fsum(h) / n
-        return GaussianPredictive(center, self.variance * (1.0 + 1.0 / n))
+        return GaussianPredictive(math.fsum(h) / n, self.variance * (1.0 + 1.0 / n))
 
     def predictives(self, x):
         yield FLAT_DENSITY
-        partials = []
-        for n in range(1, x.size + 1):
-            _fsum_add(partials, float(x[n - 1]))
-            yield GaussianPredictive(math.fsum(partials) / n, self.variance * (1.0 + 1.0 / n))
+        for n, total in enumerate(_prefix_fsums(map(float, x)), start=1):
+            yield GaussianPredictive(total / n, self.variance * (1.0 + 1.0 / n))
+
+    def predictive_rows(self, x, rule):
+        if rule is not ScoreRule.HYVARINEN or x.size < 2:
+            return None  # under log the improper start raises at observation 1
+        n = np.arange(1.0, x.size)
+        totals = np.fromiter(_prefix_fsums(x[:-1].tolist()), float, x.size - 1)
+        return 1, GaussianPredictive, SimpleNamespace(mean=totals / n, variance=self.variance * (1.0 + 1.0 / n))
 
 
 class FlatPriorScaleModel(PredictiveModel):
@@ -214,16 +209,16 @@ class FlatPriorScaleModel(PredictiveModel):
 
     def predictives(self, x):
         yield self._improper_start()
-        partials, overflowed = [], False
-        for n in range(1, x.size + 1):
-            d = float(x[n - 1]) - self.mean
-            term = d * d  # as in predictive_at: ``**`` on a float calls libm pow
-            if math.isfinite(term):
-                _fsum_add(partials, term)
-            else:  # fsum's sum is then inf, and it drops its partials
-                partials.clear()
-                overflowed = True
-            yield self._posterior(math.inf if overflowed else math.fsum(partials), n)
+        deviations = (float(v) - self.mean for v in x)  # squared by a product, as in predictive_at
+        for n, ss in enumerate(_prefix_fsums(d * d for d in deviations), start=1):
+            yield self._posterior(ss, n)
+
+    def predictive_rows(self, x, rule):
+        if rule is not ScoreRule.HYVARINEN or x.size < 2:
+            return None  # under log the improper start raises at observation 1
+        ss = np.fromiter(_prefix_fsums(np.square(x[:-1] - self.mean).tolist()), float, x.size - 1)
+        n = np.arange(1.0, x.size)  # a zero ss scores NaN, so the loop scores and raises as before
+        return 1, StudentTPredictive, SimpleNamespace(center=self.mean, scale=np.sqrt(ss / n), dof=n)
 
     def _improper_start(self) -> DensityWithDerivatives:
         mean = self.mean
@@ -278,12 +273,12 @@ class TransformedModel(PredictiveModel):
     def predictive_at(self, history) -> DensityWithDerivatives:
         h = _check_history(history)
         pulled = np.array([self.transform.inverse(float(v)) for v in h])
-        return pushforward_density(self.inner.predictive_at(pulled).density(), self.transform)
+        return pushforward_density(_density(self.inner.predictive_at(pulled)), self.transform)
 
     def predictives(self, x):
         pulled = np.empty(x.size)
         for i, q in enumerate(self.inner.predictives(pulled)):
-            yield pushforward_density(q.density(), self.transform)
+            yield pushforward_density(_density(q), self.transform)
             if i < x.size:  # filled in place after the inner pass yields predictive i + 1
                 v = self.transform.inverse(float(x[i]))
                 if not math.isfinite(v):

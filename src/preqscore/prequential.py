@@ -14,10 +14,11 @@ model raises at the offending observation.
 Every score row, for traces, selections and the experiment runners, comes
 from one fold: a loop over each model's predictives pass, scoring each with
 the one scalar scorer that decides how any predictive meets a rule, and ahead
-of it the same Gaussian kernels on whole rows for models whose predictives are
-normal laws known in advance (iid normal; AR(p) after step p), bit for bit
-equal.  A non-finite score in such a row sends every row back to the loop,
-which raises its usual, located error.
+of it the same closed-form kernels on whole rows of one family, bit for bit
+equal: normal rows for iid normal and AR(p) after step p; under hyvarinen,
+normal rows for flatloc and Student-t rows for flatscale after step 1.  A
+non-finite score or an arithmetic failure in such a row sends every row back
+to the loop, which raises its usual, located error.
 
 Cumulative sums use compensated (Kahan) summation: D_n drives decisions,
 and plain running sums can drift enough to flip a sign near the cutoff.
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import EmptyTrace, NonFiniteValue, PreqscoreError
 from .models import PredictiveModel, _check_history
-from .scores import _GAUSSIAN_KERNELS, ScaledRule, ScoreRule, _score, as_rule
+from .scores import _KERNELS, ScaledRule, ScoreRule, _score, as_rule
 
 __all__ = [
     "TIE",
@@ -126,7 +127,7 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
     the coerced rule.  Row tails filled by :func:`_array_rows` are skipped;
     the scalar loop scores the rest from one ``predictives`` pass per model,
     visiting observations in order and, at each one, the models in list
-    order.  A ``PreqscoreError`` or ``ValueError`` keeps its class and is
+    order.  A ``PreqscoreError``, ``ValueError`` or ``TypeError`` keeps its class and is
     re-raised with the model and the 1-based index of the observation; an
     arithmetic failure or non-finite score becomes :class:`NonFiniteValue`.
     """
@@ -146,7 +147,7 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
                     raise NonFiniteValue(f"score is {value!r}")
             except ArithmeticError as e:
                 raise _located(NonFiniteValue(f"score is not finite: {e!r}"), model, i) from e
-            except (PreqscoreError, ValueError) as e:
+            except (PreqscoreError, ValueError, TypeError) as e:
                 raise _located(e, model, i) from e
             scores[m, i] = value
     return x, scores, r
@@ -154,24 +155,27 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
 
 def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule, scores: np.ndarray) -> list[int]:
     """Fill each row tail of the zero matrix ``scores`` that a model's
-    :meth:`~PredictiveModel.gaussian_predictives` covers.
+    :meth:`~PredictiveModel.predictive_rows` covers (iid normal, AR(p), and flatloc and
+    flatscale under hyvarinen) with the kernel that :func:`_score` uses for the family.
 
     Returns, per model, the number of leading observations left to the
     scalar loop; all of them for every model after a non-finite score or an
     arithmetic failure.
     """
     scalar = [x.size] * len(models)
-    kernel = _GAUSSIAN_KERNELS.get(r.base)
-    if kernel is None:
+    hyvarinen = r.base is ScoreRule.HYVARINEN
+    if not hyvarinen and r.base is not ScoreRule.LOG:
         return scalar
     ends = scalar.copy()
     try:
         with np.errstate(all="ignore"):
             for m, model in enumerate(models):
-                tail = model.gaussian_predictives(x)
-                if tail is not None:
-                    k, means, variance = tail
-                    np.multiply(r.scale, kernel(x[k:], means, variance), out=scores[m, k:])
+                rows = model.predictive_rows(x, r.base)
+                if rows is not None:
+                    k, family, laws = rows
+                    log_kernel, hyvarinen_kernel = _KERNELS[family]
+                    kernel = hyvarinen_kernel if hyvarinen else log_kernel
+                    np.multiply(r.scale, kernel(x[k:], laws), out=scores[m, k:])
                     ends[m] = k
     except ArithmeticError:
         return scalar

@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import DensityWithDerivatives, gaussian_density
+from .densities import DensityWithDerivatives, gaussian_density, student_t_density
 from .errors import (
     DimensionMismatch,
     HyvarinenInapplicable,
@@ -51,6 +51,7 @@ __all__ = [
     "rescale_rule",
     "ScoreValue",
     "GaussianPredictive",
+    "StudentTPredictive",
     "score_predictive",
     "DecisionProblem",
     "score_from_decision_problem",
@@ -143,62 +144,101 @@ class GaussianPredictive:
         return gaussian_density(self.mean, self.variance)
 
 
-def _gaussian_log_score(x, mean: float, variance: float):
-    """Raw log score of N(mean, variance) at ``x``, a float or an ndarray."""
-    d = x - mean  # squared as d * d: ``**`` rounds differently on floats and arrays
-    return 0.5 * math.log(2.0 * math.pi * variance) + d * d / (2.0 * variance)
+@dataclass(frozen=True)
+class StudentTPredictive:
+    """Location-scale Student-t one-step predictive (always proper, C2)."""
+
+    center: float
+    scale: float
+    dof: float
+
+    def __post_init__(self):
+        if not self.scale > 0:
+            raise NonPositiveVariance(f"scale must be positive, got {self.scale}")
+        if not self.dof > 0:
+            raise NonPositiveVariance(f"dof must be positive, got {self.dof}")
+
+    def density(self) -> DensityWithDerivatives:
+        return student_t_density(self.center, self.scale, self.dof)
 
 
-def _gaussian_hyvarinen_score(x, mean: float, variance: float):
-    """Raw gradient-based score of N(mean, variance) at ``x``, a float or an ndarray."""
+def _gaussian_log_score(x, q):
+    """Raw log score at ``x`` of the normal law ``q``; ``x`` and ``q.mean`` may be ndarrays."""
+    d = x - q.mean  # squared as d * d: ``**`` rounds differently on floats and arrays
+    return 0.5 * math.log(2.0 * math.pi * q.variance) + d * d / (2.0 * q.variance)
+
+
+def _gaussian_hyvarinen_score(x, q):
+    """Raw gradient-based score at ``x`` of the normal law ``q``, floats or ndarrays.  A row's variances
+    are squared one by one by libm pow, as a float's ``**`` is: numpy's product rounds differently."""
+    mean, variance = q.mean, q.variance
     d = x - mean
-    return -2.0 / variance + d * d / variance**2
+    v2 = np.array([v**2 for v in variance.tolist()]) if type(variance) is np.ndarray else variance**2
+    return -2.0 / variance + d * d / v2
 
 
-def _density_log_score(q: DensityWithDerivatives, x: float) -> float:
-    """Raw log score of a density at ``x``; the caller checks ``q.proper``."""
+def _student_t_hyvarinen_score(x, q):
+    """Raw gradient-based score at ``x`` of the Student-t law ``q``, floats or ndarrays, in its density's order."""
+    center, scale, dof = q.center, q.scale, q.dof
+    z = (x - center) / scale
+    w = dof + z * z
+    g = -(dof + 1.0) * z / (scale * w)
+    return 2.0 * (-(dof + 1.0) * (dof - z * z) / (scale * scale * (w * w))) + g * g
+
+
+def _density_log_score(x: float, q: DensityWithDerivatives) -> float:
+    """Raw log score of a density at ``x``; an improper ``q`` raises its declared error."""
+    if not q.proper:
+        raise q.improper_error("log score undefined: predictive density is not normalizable")
     return -q.logpdf(x)
 
 
-def _density_hyvarinen_score(q: DensityWithDerivatives, x: float) -> float:
-    """Raw gradient-based score of a density at ``x``; the caller checks ``q.smooth``."""
+def _density_hyvarinen_score(x: float, q: DensityWithDerivatives) -> float:
+    """Raw gradient-based score of a density at ``x``, defined only for a C2 log density."""
+    if not q.smooth:
+        raise HyvarinenInapplicable("log density is not C2; gradient-based score undefined")
     g = q.dlogpdf(x)
     return 2.0 * q.d2logpdf(x) + g * g
 
 
-# The raw kernels by rule.  :func:`_score` applies them to one observation,
-# the prequential fold's array scorer applies the Gaussian ones to whole rows;
-# squaring as d * d keeps both routes bitwise equal.
-_GAUSSIAN_KERNELS = {ScoreRule.LOG: _gaussian_log_score, ScoreRule.HYVARINEN: _gaussian_hyvarinen_score}
-_DENSITY_KERNELS = {ScoreRule.LOG: _density_log_score, ScoreRule.HYVARINEN: _density_hyvarinen_score}
+def _density(predictive) -> DensityWithDerivatives:
+    """``predictive.density()``, or the TypeError for an object this package cannot score."""
+    density = getattr(predictive, "density", None)
+    if density is None:
+        raise TypeError(f"cannot score object of type {type(predictive).__name__}")
+    return density()
+
+
+# The log and the gradient-based kernel of each predictive, by family.  :func:`_score` applies
+# them to one predictive, the prequential fold to whole rows of a family, an object whose fields
+# are then arrays; one table, so both routes agree bit for bit.  Any other predictive, the
+# improper ones included, and a Student-t law under log, which needs its normalizing constant,
+# are scored from the log-derivatives of their density.
+_BY_DENSITY = (lambda x, p: _density_log_score(x, _density(p)), lambda x, p: _density_hyvarinen_score(x, _density(p)))
+_KERNELS = {
+    GaussianPredictive: (_gaussian_log_score, _gaussian_hyvarinen_score),
+    StudentTPredictive: (_BY_DENSITY[0], _student_t_hyvarinen_score),
+}
+_LOG, _HYVARINEN = ScoreRule.LOG, ScoreRule.HYVARINEN
 
 
 def _score(x: float, predictive, base: ScoreRule) -> float:
     """Unscaled score of ``x``: the one place that decides how a predictive meets a rule.
 
-    A :class:`GaussianPredictive` takes the closed normal formulas; any other
-    predictive, the improper ones included, is scored from the log-derivatives
-    of the density its ``.density()`` returns."""
-    if base not in _DENSITY_KERNELS:
+    A family in ``_KERNELS``, picked by type, takes its kernels; any other predictive,
+    the improper ones included, the log-derivatives of its ``.density()``.  The rule
+    is picked by identity, so no enum is hashed."""
+    if base is not _LOG and base is not _HYVARINEN:
         raise ValueError(f"rule {base.value} is not defined for predictive densities")
-    if isinstance(predictive, GaussianPredictive):
-        return _GAUSSIAN_KERNELS[base](x, predictive.mean, predictive.variance)
-    density = getattr(predictive, "density", None)
-    if density is None:
-        raise TypeError(f"cannot score object of type {type(predictive).__name__}")
-    q = density()
-    if base is ScoreRule.LOG and not q.proper:
-        raise q.improper_error("log score undefined: predictive density is not normalizable")
-    if base is ScoreRule.HYVARINEN and not q.smooth:
-        raise HyvarinenInapplicable("log density is not C2; gradient-based score undefined")
-    return _DENSITY_KERNELS[base](q, x)
+    log_kernel, hyvarinen_kernel = _KERNELS.get(type(predictive), _BY_DENSITY)
+    return (hyvarinen_kernel if base is _HYVARINEN else log_kernel)(x, predictive)
 
 
 def score_predictive(x: float, predictive, rule) -> ScoreValue:
     """Score one observation under any predictive this package produces.
 
-    A :class:`GaussianPredictive` is scored with the closed normal formulas;
-    every other predictive is scored from the declared log-derivatives of its
+    A :class:`GaussianPredictive` or :class:`StudentTPredictive` is scored with
+    its closed formulas; every other predictive is scored from the declared log-derivatives of its
     ``.density()`` (see :func:`_score`).
     """
     r = as_rule(rule)

@@ -25,6 +25,7 @@ import collections
 import itertools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -331,7 +332,7 @@ class StationaryProcessModel(PredictiveModel):
     :meth:`predictives` is one pass over the series that reads each value
     once, at a cost set by the spec's kind: O(p) per step for AR(p), whose
     rows beyond step p the fold also scores as arrays
-    (:meth:`gaussian_predictives`); O(q^2) per step and O(max(p,q)^2) state
+    (:meth:`predictive_rows`); O(q^2) per step and O(max(p,q)^2) state
     for MA(q) and ARMA(p,q); O(i) at step i for a user autocovariance, so
     O(n^2) per pass by nature, keeping only the current weights.
     """
@@ -350,7 +351,7 @@ class StationaryProcessModel(PredictiveModel):
             h = h[max(h.size - len(arma[0]), 0) :]
         return collections.deque(self.predictives(h), maxlen=1).pop()
 
-    def gaussian_predictives(self, x):
+    def predictive_rows(self, x, rule):
         arma = self.spec.arma
         if arma is None or arma[1] or x.size <= len(arma[0]):
             return None
@@ -359,7 +360,7 @@ class StationaryProcessModel(PredictiveModel):
         deviation = np.zeros(n - p)  # the lag filter of predictives, same order of additions
         for j, phi in enumerate(phis, start=1):
             deviation += phi * (x[p - j : n - j] - mean)
-        return p, mean + deviation, variance
+        return p, GaussianPredictive, SimpleNamespace(mean=mean + deviation, variance=variance)
 
 
 def process_model(spec: StationaryProcessSpec, identifier: str | None = None) -> PredictiveModel:

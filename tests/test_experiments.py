@@ -34,7 +34,7 @@ from preqscore.experiments import (
     run_unit_change,
     run_variance_expectation,
 )
-from preqscore.scores import _gaussian_hyvarinen_score, _gaussian_log_score
+from preqscore.scores import GaussianPredictive, _gaussian_hyvarinen_score, _gaussian_log_score
 
 
 def cfg(name, **kw):
@@ -156,8 +156,9 @@ def test_vectorized_scores_match_scalar_trace():
         x = replicate_data(c, 0)
         pair = (iid_gaussian_model(0.0, c.tau_p2), iid_gaussian_model(0.0, c.tau_q2))
         for rule, scorer in (("log", _gaussian_log_score), ("hyvarinen", _gaussian_hyvarinen_score)):
-            vec = scorer(x, 0.0, c.tau_q2) - scorer(x, 0.0, c.tau_p2)
-            scalar = [scorer(v, 0.0, c.tau_q2) - scorer(v, 0.0, c.tau_p2) for v in x.tolist()]
+            q, p = GaussianPredictive(0.0, c.tau_q2), GaussianPredictive(0.0, c.tau_p2)
+            vec = scorer(x, q) - scorer(x, p)
+            scalar = [scorer(v, q) - scorer(v, p) for v in x.tolist()]
             tr = delta_trace(*pair, x, rule)
             np.testing.assert_array_equal(vec, scalar)
             np.testing.assert_array_equal(vec, tr.per_step)

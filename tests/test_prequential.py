@@ -25,6 +25,7 @@ from preqscore import (
     TransformedModel,
     ar_process,
     arma_process,
+    as_rule,
     compensated_cumsum,
     cubic_plus_linear_transform,
     delta_trace,
@@ -157,11 +158,11 @@ def test_fold_rows_equal_scalar_scores_bitwise(phis, mean, n, seed, rule):
     models = [iid_gaussian_model(mean, 0.7), process_model(ar_process(phis, 0.8, mean))]
     _, rows, _ = _score_matrix(models, x, rule)
     np.testing.assert_array_equal(rows, np.reshape(_scalar_rows(models, x, rule), (2, n)))
-    tail = models[1].gaussian_predictives(x)
+    tail = models[1].predictive_rows(x, as_rule(rule).base)
     if n > len(phis):
-        k, means, _ = tail
+        k, _, laws = tail
         assert k == len(phis)
-        assert means.tolist() == [models[1].predictive_at(x[:i]).mean for i in range(k, n)]
+        assert laws.mean.tolist() == [models[1].predictive_at(x[:i]).mean for i in range(k, n)]
     else:
         assert tail is None
 
@@ -200,6 +201,40 @@ def test_fold_rows_equal_scalar_scores_for_every_predictive_kind(kind, n, seed, 
         assert fold is scalar
     else:
         np.testing.assert_array_equal(fold, scalar)
+
+
+def _first_item_only(pass_):
+    """A ``predictives`` that yields its pass's first item and then fails."""
+
+    def predictives(self, x):
+        yield next(pass_(self, x))
+        raise AssertionError("the scalar loop scored an observation after the first")
+
+    return predictives
+
+
+@pytest.mark.parametrize("build", [lambda: flat_prior_location_model(0.8), lambda: flat_prior_scale_model(0.2)])
+def test_flat_priors_score_observations_after_the_first_as_rows(monkeypatch, build):
+    # Under hyvarinen only the improper start goes through the scalar loop;
+    # a silent fallback for observations 2..n would reach the patched pass.
+    model = build()
+    x = 0.2 + 1.3 * stream(5, 0).standard_normal(300)
+    want = _scalar_rows([model], x, "hyvarinen")[0]
+    monkeypatch.setattr(type(model), "predictives", _first_item_only(type(model).predictives))
+    assert delta_trace(model, A, x, "hyvarinen").scores_a.tolist() == want
+    assert model.predictive_rows(x, ScoreRule.LOG) is None
+    with pytest.raises(ImproperPredictive, match=r"observation 1\)$"):
+        delta_trace(model, A, x, "log")
+
+
+@pytest.mark.parametrize("v", [1e-3, 0.3, 0.7, 1.0, 2.5, 1e3])
+def test_flat_prior_rows_equal_scalar_scores_bitwise(v):
+    # 2000 variances v(1 + 1/n) each: a row squared by a product instead of
+    # libm pow, as the scalar route squares it, would differ on a few.
+    x = 0.2 + math.sqrt(v) * stream(11, 0).standard_normal(2000)
+    models = [flat_prior_location_model(v), flat_prior_scale_model(0.2)]
+    rows = _score_matrix(models, x, "hyvarinen")[1]
+    np.testing.assert_array_equal(rows.view(np.int64), np.array(_scalar_rows(models, x, "hyvarinen")).view(np.int64))
 
 
 class _DriftModel(PredictiveModel):
@@ -458,6 +493,24 @@ def test_value_error_inside_a_density_is_located(model, identifier):
     with pytest.raises(ValueError, match=rf"^math domain error \(model '{re.escape(identifier)}', observation 2\)$") as info:
         delta_trace(model, A, [1.0, -2.0, 3.0], "log")
     assert type(info.value) is ValueError
+
+
+@pytest.mark.parametrize(
+    "model, identifier",
+    [
+        (_DensityModel("bare", lambda n: object()), "bare"),
+        (TransformedModel(_DensityModel("bare", lambda n: object()), cubic_plus_linear_transform()), "cubic_plus_linear:bare"),
+    ],
+)
+def test_predictive_without_a_density_is_a_located_type_error(model, identifier):
+    message = rf"^cannot score object of type object \(model '{re.escape(identifier)}', observation 1\)$"
+    for rule in ("log", "hyvarinen"):
+        with pytest.raises(TypeError, match=message) as info:
+            delta_trace(A, model, [0.5, 1.0], rule)
+        assert type(info.value) is TypeError
+    if isinstance(model, TransformedModel):  # its pass and predictive_at raise the scorer's error
+        with pytest.raises(TypeError, match="^cannot score object of type object$"):
+            model.predictive_at([0.5])
 
 
 def test_hyvarinen_rule_tolerates_improper_starts():

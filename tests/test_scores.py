@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from preqscore import (
 )
 from preqscore.models import PredictiveModel, StudentTPredictive, flat_prior_scale_model, iid_gaussian_model
 from preqscore.prequential import delta_trace
-from preqscore.scores import _score
+from preqscore.scores import _score, _student_t_hyvarinen_score
 
 from oracles import fd_first, fd_second, simplex_grid
 
@@ -176,6 +177,20 @@ def test_score_predictive_dispatch():
         score_predictive(x, object(), "log")
     with pytest.raises(ValueError, match="decision-induced"):
         score_predictive(x, q, ScoreRule.DECISION_INDUCED)
+
+
+@pytest.mark.parametrize("rule", [ScoreRule.LOG, ScoreRule.HYVARINEN])
+def test_student_t_kernels_equal_the_density_route_bitwise(rule):
+    # One law per (scale, dof), scored at 300 points: the closed kernel keeps
+    # student_t_density's expression order, and its rows score like floats.
+    x = np.linspace(-40.0, 40.0, 300)
+    for scale, dof in [(0.05, 1.0), (1.0, 3.0), (2.7, 17.0), (1e3, 2000.0)]:
+        t = StudentTPredictive(0.3, scale, dof)
+        closed = [_score(v, t, rule) for v in x.tolist()]
+        assert closed == [_score(v, t.density(), rule) for v in x.tolist()]
+        if rule is ScoreRule.HYVARINEN:
+            row = _student_t_hyvarinen_score(x, SimpleNamespace(center=0.3, scale=np.full(x.size, scale), dof=np.full(x.size, dof)))
+            assert row.tolist() == closed
 
 
 @pytest.mark.parametrize(
