@@ -82,7 +82,7 @@ def gaussian_density(mean: float, variance: float) -> DensityWithDerivatives:
         raise NonPositiveVariance(f"variance must be positive, got {variance}")
     const = -0.5 * math.log(2.0 * math.pi * variance)
     return DensityWithDerivatives(
-        logpdf=lambda x: const - (x - mean) ** 2 / (2.0 * variance),
+        logpdf=lambda x: const - (x - mean) * (x - mean) / (2.0 * variance),
         dlogpdf=lambda x: -(x - mean) / variance,
         d2logpdf=lambda x: -1.0 / variance,
     )
@@ -206,7 +206,7 @@ def cubic_plus_linear_transform() -> MonotoneTransform:
         return x
 
     return MonotoneTransform(
-        g=lambda x: x**3 + x,
+        g=lambda x: x * x * x + x,
         dg=lambda x: 3.0 * x * x + 1.0,
         d2g=lambda x: 6.0 * x,
         d3g=lambda x: 6.0,
@@ -236,8 +236,8 @@ def pushforward_density(q: DensityWithDerivatives, transform: MonotoneTransform)
         x = transform.inverse(y)
         g1, g2, g3 = transform.dg(x), transform.d2g(x), transform.d3g(x)
         u1 = q.dlogpdf(x) - g2 / g1
-        u2 = q.d2logpdf(x) - (g3 * g1 - g2 * g2) / g1**2
-        return (u2 * g1 - u1 * g2) / g1**3
+        u2 = q.d2logpdf(x) - (g3 * g1 - g2 * g2) / (g1 * g1)
+        return (u2 * g1 - u1 * g2) / (g1 * g1 * g1)
 
     return DensityWithDerivatives(
         logpdf,

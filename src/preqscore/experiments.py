@@ -401,18 +401,15 @@ def run_outlier_locality(config: ExperimentConfig) -> ReplicationResult:
     value confine the edit at position k to per-step terms k and k+1; models
     that ignore history confine it to term k alone.
     """
-    model_a, model_b = _pair(config)
+    pair = _pair(config)
 
     def fill(rec, x):
         y, rec["outlier_magnitude"] = _inject_outlier(config, x)
         for rule in _RULE_KEYS:
-            base = delta_trace(model_a, model_b, x, rule)
-            bumped = delta_trace(model_a, model_b, y, rule)
-            changed = np.flatnonzero(bumped.per_step != base.per_step) + 1
-            rec[f"changed_{rule}"] = [int(i) for i in changed]
-            rec[f"abs_shift_{rule}"] = abs(bumped.final - base.final)
-            rec[f"d_n_{rule}"] = bumped.final
-            rec[f"chosen_{rule}"] = _choose(bumped.final, config.cutoff, model_a.identifier, model_b.identifier)
+            base, bumped = _per_step(pair, x, rule), _per_step(pair, y, rule)
+            rec[f"changed_{rule}"] = [int(i) for i in np.flatnonzero(bumped != base) + 1]
+            _decide(rec, rule, bumped, config, pair)
+            rec[f"abs_shift_{rule}"] = abs(rec[f"d_n_{rule}"] - math.fsum(base.tolist()))
 
     return _run(config, Experiment.OUTLIER_LOCALITY, fill)
 

@@ -20,7 +20,7 @@ normal rows for flatloc and Student-t rows for flatscale after step 1.  A
 non-finite score or an arithmetic failure in such a row sends every row back
 to the loop, which raises its usual, located error.
 
-Cumulative sums use compensated (Kahan) summation: D_n drives decisions,
+Cumulative sums use Neumaier's compensated summation: D_n drives decisions,
 and plain running sums can drift enough to flip a sign near the cutoff.
 """
 
@@ -63,22 +63,18 @@ def compensated_cumsum(values) -> np.ndarray:
     Unlike plain Kahan summation this stays accurate when a term dwarfs the
     running total, the case a large score spike produces.  An overflowing
     total raises :class:`NonFiniteValue` indexed by its term, never a NaN.
+    The totals from 0.0, and then their rounding errors, accumulate in order,
+    so the result equals the term-by-term loop bit for bit.
     """
-    out = np.empty(len(values))
-    total = 0.0
-    c = 0.0
-    for i, raw in enumerate(values):
-        v = float(raw)
-        t = total + v
-        if not math.isfinite(t):
-            raise NonFiniteValue(f"running sum is {t!r} at term {i + 1}", index=i + 1)
-        if abs(total) >= abs(v):
-            c += (total - t) + v
-        else:
-            c += (v - t) + total
-        total = t
-        out[i] = total + c
-    return out
+    with np.errstate(all="ignore"):
+        v = np.concatenate(([0.0], values), dtype=float)
+        totals = np.cumsum(v)
+        if not math.isfinite(totals[-1]):  # a non-finite total stays non-finite
+            i = int(np.flatnonzero(~np.isfinite(totals))[0])
+            raise NonFiniteValue(f"running sum is {float(totals[i])!r} at term {i}", index=i)
+        prev, t, v = totals[:-1], totals[1:], v[1:]
+        c = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
+        return t + np.cumsum(c)
 
 
 @dataclass(frozen=True)

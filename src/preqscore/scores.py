@@ -164,17 +164,14 @@ class StudentTPredictive:
 
 def _gaussian_log_score(x, q):
     """Raw log score at ``x`` of the normal law ``q``; ``x`` and ``q.mean`` may be ndarrays."""
-    d = x - q.mean  # squared as d * d: ``**`` rounds differently on floats and arrays
+    d = x - q.mean
     return 0.5 * math.log(2.0 * math.pi * q.variance) + d * d / (2.0 * q.variance)
 
 
 def _gaussian_hyvarinen_score(x, q):
-    """Raw gradient-based score at ``x`` of the normal law ``q``, floats or ndarrays.  A row's variances
-    are squared one by one by libm pow, as a float's ``**`` is: numpy's product rounds differently."""
-    mean, variance = q.mean, q.variance
-    d = x - mean
-    v2 = np.array([v**2 for v in variance.tolist()]) if type(variance) is np.ndarray else variance**2
-    return -2.0 / variance + d * d / v2
+    """Raw gradient-based score at ``x`` of the normal law ``q``, floats or ndarrays."""
+    d = x - q.mean
+    return -2.0 / q.variance + d * d / (q.variance * q.variance)
 
 
 def _student_t_hyvarinen_score(x, q):
@@ -211,9 +208,9 @@ def _density(predictive) -> DensityWithDerivatives:
 
 # The log and the gradient-based kernel of each predictive, by family.  :func:`_score` applies
 # them to one predictive, the prequential fold to whole rows of a family, an object whose fields
-# are then arrays; one table, so both routes agree bit for bit.  Any other predictive, the
-# improper ones included, and a Student-t law under log, which needs its normalizing constant,
-# are scored from the log-derivatives of their density.
+# are then arrays; one table, with every square a product (libm ``pow`` misrounds some), so both
+# routes agree bit for bit.  Any other predictive, the improper ones included, and a Student-t
+# law under log, which needs its normalizing constant, are scored from its density's log-derivatives.
 _BY_DENSITY = (lambda x, p: _density_log_score(x, _density(p)), lambda x, p: _density_hyvarinen_score(x, _density(p)))
 _KERNELS = {
     GaussianPredictive: (_gaussian_log_score, _gaussian_hyvarinen_score),
@@ -239,10 +236,17 @@ def score_predictive(x: float, predictive, rule) -> ScoreValue:
 
     A :class:`GaussianPredictive` or :class:`StudentTPredictive` is scored with
     its closed formulas; every other predictive is scored from the declared log-derivatives of its
-    ``.density()`` (see :func:`_score`).
+    ``.density()`` (see :func:`_score`).  A non-finite score or an arithmetic failure raises
+    :class:`~preqscore.errors.NonFiniteValue`, as in the prequential fold.
     """
     r = as_rule(rule)
-    return ScoreValue(r.scale * _score(x, predictive, r.base), r.base, r.scale)
+    try:
+        value = r.scale * _score(x, predictive, r.base)
+    except ArithmeticError as e:
+        raise NonFiniteValue(f"score is not finite: {e!r}") from e
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"score is {value!r}")
+    return ScoreValue(value, r.base, r.scale)
 
 
 # ---------------------------------------------------------------------------

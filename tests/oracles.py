@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the closed forms implemented in the
 package: derivatives come from finite differences, normalizing constants
-from adaptive quadrature, and conditional Gaussian moments from a dense
-Cholesky/Schur-complement computation.  A shared algebra mistake between
+from adaptive quadrature, conditional Gaussian moments from a dense
+Cholesky/Schur-complement computation, and compensated running sums from a
+term-by-term loop.  A shared algebra mistake between
 library and test would have to survive two unrelated derivations.
 """
 
@@ -11,6 +12,8 @@ import math
 
 import numpy as np
 from scipy import integrate, stats
+
+from preqscore.errors import NonFiniteValue
 
 
 def fd_first(f, x, h=1e-5):
@@ -96,3 +99,25 @@ def simplex_grid(n_states, step=0.1):
 
     fill([], k, n_states)
     return np.asarray(rows, dtype=float) / k
+
+
+def compensated_cumsum_loop(values):
+    """Neumaier running sums, one term at a time: the reference for the array version.
+
+    An overflowing total raises :class:`NonFiniteValue` indexed by its term.
+    """
+    out = np.empty(len(values))
+    total = 0.0
+    c = 0.0
+    for i, raw in enumerate(values):
+        v = float(raw)
+        t = total + v
+        if not math.isfinite(t):
+            raise NonFiniteValue(f"running sum is {t!r} at term {i + 1}", index=i + 1)
+        if abs(total) >= abs(v):
+            c += (total - t) + v
+        else:
+            c += (v - t) + total
+        total = t
+        out[i] = total + c
+    return out

@@ -400,7 +400,7 @@ def test_non_finite_data_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "model_a, values",
-    [("iidnorm(0,1)", [1e200]), ("flatscale(0)", [0.0, 1.0]), ("iidnorm(0,1e160)", [0.5])],
+    [("iidnorm(0,1)", [1e200]), ("flatscale(0)", [0.0, 1.0]), ("iidnorm(0,1e-170)", [0.5])],
 )
 def test_arithmetic_failure_exits_two_without_traceback(tmp_path, cli_env, model_a, values):
     write_data(tmp_path / "d.csv", values)

@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preqscore import (
@@ -44,6 +44,8 @@ from preqscore import (
     write_trace_csv,
 )
 from preqscore.prequential import _score_matrix
+
+from oracles import compensated_cumsum_loop
 
 A = iid_gaussian_model(0.0, 1.0)
 B = iid_gaussian_model(1.0, 1.0)
@@ -126,6 +128,13 @@ def test_arithmetic_failures_become_named_errors():
     assert info.value.index == 2
     with pytest.raises(NonFiniteValue, match=r"ZeroDivisionError.*flatscale\(0\.0\)', observation 1"):
         delta_trace(flat_prior_scale_model(0.0), A, [0.0, 1.0], "hyvarinen")
+
+
+def test_variance_whose_square_overflows_scores_finitely():
+    # 1e160 squared is inf, so the data term of the gradient score vanishes
+    trace = delta_trace(iid_gaussian_model(0.0, 1e160), iid_gaussian_model(0.0, 2.0), [0.5, -1.0, 3.0], "hyvarinen")
+    assert trace.scores_a.tolist() == [-2e-160] * 3
+    assert math.isfinite(trace.final)
 
 
 @pytest.mark.parametrize(
@@ -554,6 +563,29 @@ def test_compensated_cumsum_beats_naive_on_cancellation():
     values = [1e16, 1.0, -1e16, 1.0] * 10
     out = compensated_cumsum(values)
     assert out[-1] == math.fsum(values)
+
+
+_SUMMANDS = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e12, -1e12, 1e16, -1e16, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(_SUMMANDS, max_size=80))
+@example([])
+@example([1.0, 2.5, 1e12, -3.0, 0.1])
+@example([1e16, 1.0, -1e16, 1.0] * 10)
+@example([1e308, -1.0, 1e308, 2.0])
+def test_compensated_cumsum_equals_the_loop_bit_for_bit(values):
+    try:
+        expected = compensated_cumsum_loop(values)
+    except NonFiniteValue as e:
+        with pytest.raises(NonFiniteValue, match=f"^{re.escape(str(e))}$") as info:
+            compensated_cumsum(values)
+        assert info.value.index == e.index
+        return
+    np.testing.assert_array_equal(compensated_cumsum(values).view(np.int64), expected.view(np.int64))
 
 
 def test_trace_csv_exact_format():

@@ -36,7 +36,7 @@ from preqscore import (
 )
 from preqscore.models import PredictiveModel, StudentTPredictive, flat_prior_scale_model, iid_gaussian_model
 from preqscore.prequential import delta_trace
-from preqscore.scores import _score, _student_t_hyvarinen_score
+from preqscore.scores import _gaussian_hyvarinen_score, _score, _student_t_hyvarinen_score
 
 from oracles import fd_first, fd_second, simplex_grid
 
@@ -191,6 +191,35 @@ def test_student_t_kernels_equal_the_density_route_bitwise(rule):
         if rule is ScoreRule.HYVARINEN:
             row = _student_t_hyvarinen_score(x, SimpleNamespace(center=0.3, scale=np.full(x.size, scale), dof=np.full(x.size, dof)))
             assert row.tolist() == closed
+
+
+def test_gaussian_hyvarinen_scales_exactly_under_a_power_of_two_unit_change():
+    # libm pow gives 2.759 ** 2 == 7.612080999999999, one ulp off the product 7.612081,
+    # so a kernel that squared the variance by ``**`` missed the exact factor 1/4 here.
+    x, mean, variance = -4.257, -0.45, 2.759
+    base = score_predictive(x, GaussianPredictive(mean, variance), "hyvarinen").value
+    scaled = score_predictive(2.0 * x, GaussianPredictive(2.0 * mean, 4.0 * variance), "hyvarinen").value
+    assert scaled == base / 4.0
+
+    def row(x, mean, variance):
+        law = SimpleNamespace(mean=np.array([mean]), variance=np.array([variance]))
+        return _gaussian_hyvarinen_score(np.array([x]), law).tolist()
+
+    assert row(x, mean, variance) == [base]
+    assert row(2.0 * x, 2.0 * mean, 4.0 * variance) == [base / 4.0]
+
+
+@pytest.mark.parametrize(
+    "x, predictive, rule, message",
+    [
+        (1e200, GaussianPredictive(0.0, 1.0), "hyvarinen", "score is inf"),
+        (0.5, StudentTPredictive(0.0, 1.0, 1e200), "hyvarinen", "score is nan"),
+        (0.5, StudentTPredictive(0.0, 1.0, 1e306), "log", "score is not finite: OverflowError"),
+    ],
+)
+def test_score_predictive_raises_where_the_score_is_not_finite(x, predictive, rule, message):
+    with pytest.raises(NonFiniteValue, match=f"^{message}"):
+        score_predictive(x, predictive, rule)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,37 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "preqscore"
+
+
+def _integer_powers(source: str) -> list[int]:
+    """Lines where ``**`` raises a non-constant to an integral constant (``x ** 2``, ``x **= 3``).
+
+    A constant base (``2**64``) and a computed exponent (``y ** (1.0 / 3.0)``) are allowed.
+    """
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            base, exponent = node.left, node.right
+        elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Pow):
+            base, exponent = node.target, node.value
+        else:
+            continue
+        integral = isinstance(exponent, ast.Constant) and type(exponent.value) in (int, float) and float(exponent.value).is_integer()
+        if integral and not isinstance(base, ast.Constant):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_power_check_finds_integer_powers():
+    source = "a = x ** 2\nb = 2**64\nc = y ** (1.0 / 3.0)\nd = (x + 1) ** 3.0\nx **= 2\ne = x ** 0.5\n"
+    assert _integer_powers(source) == [1, 4, 5]
+
+
+def test_squares_and_cubes_are_products():
+    # Float and numpy ``**`` call libm pow, which misrounds some squares by an ulp; a product
+    # rounds the same on floats and arrays, so scalar and row scores agree and scale exactly.
+    found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) for line in _integer_powers(path.read_text())]
+    assert not found, f"integer powers by ** (write them as products): {', '.join(found)}"
