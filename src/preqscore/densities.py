@@ -190,8 +190,8 @@ def cubic_plus_linear_transform() -> MonotoneTransform:
         # so this form avoids cancellation.  Use oddness for y < 0.
         if y < 0:
             return -inverse(-y)
-        if y == 0.0:
-            return 0.0
+        if y < 2.0**-27:  # y*y*y is below half an ulp of y, so the rounded root is y (0 included)
+            return y
         if y > 1.0:
             # Factor y/2 out of the discriminant so y*y cannot overflow.
             t = (y / 2.0) ** (1.0 / 3.0) * (1.0 + math.sqrt(1.0 + 4.0 / (27.0 * y * y))) ** (1.0 / 3.0)
@@ -199,7 +199,7 @@ def cubic_plus_linear_transform() -> MonotoneTransform:
             t = ((y / 2.0) + math.sqrt(y * y / 4.0 + 1.0 / 27.0)) ** (1.0 / 3.0)
         x = t - 1.0 / (3.0 * t)
         # One Newton step polishes to full precision; it also rescues the
-        # cancellation in t - 1/(3t) when y is tiny.
+        # cancellation in t - 1/(3t) when y is small.
         fx = (x * x * x + x) - y
         if math.isfinite(fx):
             x -= fx / (3.0 * x * x + 1.0)

@@ -4,10 +4,10 @@ A process is specified by its constant mean and autocovariance sequence
 ``gamma(k)``.  One pass per series turns it into the exact conditional law of
 each observation given all earlier ones: a linear prediction plus the
 conditional variance ``v_i`` of X_i given (X_1, ..., X_{i-1}).  The pass is
-the lag filter after p Durbin-Levinson steps for AR(p), O(p) per step; the
-innovations algorithm for MA(q) and ARMA(p,q), O(q^2) per step; and the
-forward Durbin-Levinson pass for a user autocovariance, O(i) at step i
-(Brockwell & Davis 1991, ch. 5).
+the innovations algorithm for every ARMA(p,q) spec, AR, MA and white noise
+included: O(p + q^2) per step until its state stops changing, O(p+q) per
+step after (from step p for AR(p)); and the forward Durbin-Levinson pass for
+a user autocovariance, O(i) at step i (Brockwell & Davis 1991, ch. 5).
 
 The conditional variance is the point of this module: it is constant in i
 only for special processes.  For an AR(p) process it is the innovation
@@ -55,9 +55,9 @@ class StationaryProcessSpec:
 
     Each :meth:`gamma` call evaluates ``autocov``; the prediction recursion
     keeps the values it reads.  ``arma`` is ``(phi_1..phi_p, theta_1..theta_q,
-    innovation variance)`` when the process is ARMA(p,q); process models then
-    predict with the lag filter (q = 0) or the innovations algorithm, not the
-    forward Durbin-Levinson pass.
+    innovation variance)`` when the process is ARMA(p,q), AR, MA and white
+    noise included; process models then predict with the innovations
+    algorithm, not the forward Durbin-Levinson pass.
     """
 
     def __init__(
@@ -256,31 +256,24 @@ def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int =
 def _moments(spec: StationaryProcessSpec, x: np.ndarray):
     """(mean, variance) of X_i given X_1..X_{i-1} = x[:i - 1], as floats, for
     i = 1..n+1; ``x[i]`` is read only after the (i+1)-th pair is yielded."""
-    return _innovations(spec, x) if spec.arma and spec.arma[1] else _forward_pass(spec, x)
+    return _innovations(spec, x) if spec.arma else _forward_pass(spec, x)
 
 
 def _forward_pass(spec: StationaryProcessSpec, x: np.ndarray):
-    """The forward Durbin-Levinson pass for a user autocovariance; for AR(p)
-    its first p steps, then mean + sum_j phi_j (x_{i-j} - mean) in floats."""
-    mean, (phis, _, variance) = spec.mean, spec.arma or ((), (), None)
-    p = x.size + 1 if spec.arma is None else min(len(phis), x.size + 1)
-    for i, (coefficients, v) in zip(range(p), _durbin_levinson(spec)):
+    """The forward Durbin-Levinson pass for a user autocovariance."""
+    mean = spec.mean
+    for i, (coefficients, v) in zip(range(x.size + 1), _durbin_levinson(spec)):
         yield mean + float(np.dot(coefficients, x[:i] - mean)), v
-    recent = collections.deque(reversed(x[max(p - len(phis), 0) : p].tolist()), maxlen=len(phis))  # x_{i-1}, ...
-    for i in range(p, x.size + 1):
-        if i > p:
-            recent.appendleft(float(x[i - 1]))
-        deviation = 0.0
-        for phi, xj in zip(phis, recent):
-            deviation += phi * (xj - mean)
-        yield mean + deviation, variance
 
 
 def _innovations(spec: StationaryProcessSpec, x: np.ndarray):
-    """ARMA(p,q), q > 0: the innovations algorithm on Ansley's W_t, X_t for
+    """ARMA(p,q), q >= 0: the innovations algorithm on Ansley's W_t, X_t for
     t <= m = max(p,q) and phi(B)X_t beyond, whose coefficients theta_{n,j}
     vanish for j > q once n >= m (Ansley 1979; Brockwell & Davis 1991, §5.3).
-    The state is the last m rows of theta, values of v and innovations."""
+    The state is the last m rows of theta, values of v and innovations.  From
+    n >= m + q a row and its v depend only on the q before, so once q
+    consecutive rows and v repeat bit for bit the state is fixed and only the
+    O(p+q) filter runs: from n = m for AR(p), never for a unit-root MA part."""
     mean, (phis, thetas, s2) = spec.mean, spec.arma
     q = len(thetas)
     m = max(len(phis), q)
@@ -292,37 +285,44 @@ def _innovations(spec: StationaryProcessSpec, x: np.ndarray):
     tail = [s2 * sum(th[j] * th[j + h] for j in range(q + 1 - h)) for h in range(q + 1)]
     rows = collections.deque(maxlen=m)  # theta_{n-j,1..} for j = m..1
     vs = collections.deque(maxlen=m)  # v_{n-j}
-    innovations = collections.deque(maxlen=m)  # x_{n+1-j} - xhat_{n+1-j} for j = 1..m
+    innovations = collections.deque(maxlen=m)  # x_{n+1-j} - xhat_{n+1-j}, kept while rows are not empty
     recent = collections.deque(maxlen=len(phis))  # x_{n+1-j} - mean
     xhat = mean
+    steady, repeats = False, 0  # repeats: consecutive steps whose row and v equal the step before's
+    push_lag, item = recent.appendleft, x.item
     for n in range(x.size + 1):
         if n:
-            xn = float(x[n - 1])
-            innovations.appendleft(xn - xhat)
-            recent.appendleft(xn - mean)
-        width = n if n < m else q
-        row = [0.0] * width  # theta_{n,1..width}
-        for j in range(width, 0, -1):
-            # theta_{n,j} v_{n-j} = kappa(n+1, n+1-j) - sum_{t>j} theta_{n-j,t-j} theta_{n,t} v_{n-t}
-            row_j = rows[-j]
-            acc = gam[j] if n < m else cross[j] if n - j < m else tail[j]
-            if j < width:
-                for t in range(j + 1, min(width, j + len(row_j)) + 1):
-                    acc -= row_j[t - j - 1] * row[t - 1] * vs[-t]
-            row[j - 1] = acc / vs[-j]
-        v = gam[0] if n < m else tail[0]
+            xn = item(n - 1)
+            push_lag(xn - mean)
+        if not steady:
+            width = n if n < m else q
+            row = [0.0] * width  # theta_{n,1..width}
+            for j in range(width, 0, -1):
+                # theta_{n,j} v_{n-j} = kappa(n+1, n+1-j) - sum_{t>j} theta_{n-j,t-j} theta_{n,t} v_{n-t}
+                row_j = rows[-j]
+                acc = gam[j] if n < m else cross[j] if n - j < m else tail[j]
+                if j < width:
+                    for t in range(j + 1, min(width, j + len(row_j)) + 1):
+                        acc -= row_j[t - j - 1] * row[t - 1] * vs[-t]
+                row[j - 1] = acc / vs[-j]
+            v = gam[0] if n < m else tail[0]
+            for theta, w in zip(row, reversed(vs)):
+                v -= theta * theta * w
+            if not v > 0:
+                raise NotPositiveDefinite(n + 1)
+            repeats = repeats + 1 if vs and v == vs[-1] and row == rows[-1] else 0
+            steady = n >= m + q and repeats >= q
+            lags = phis if n >= m else ()
+            rows.append(row)
+            vs.append(v)
         deviation = 0.0
-        for theta, u, w in zip(row, innovations, reversed(vs)):
-            v -= theta * theta * w
-            deviation += theta * u
-        if not v > 0:
-            raise NotPositiveDefinite(n + 1)
-        if n >= m:
-            for phi, d in zip(phis, recent):
-                deviation += phi * d
+        if row:
+            innovations.appendleft(xn - xhat)
+            for theta, u in zip(row, innovations):
+                deviation += theta * u
+        for phi, d in zip(lags, recent):
+            deviation += phi * d
         xhat = mean + deviation
-        rows.append(row)
-        vs.append(v)
         yield xhat, v
 
 
@@ -330,11 +330,10 @@ class StationaryProcessModel(PredictiveModel):
     """Adapter exposing a stationary process as a predictive model.
 
     :meth:`predictives` is one pass over the series that reads each value
-    once, at a cost set by the spec's kind: O(p) per step for AR(p), whose
-    rows beyond step p the fold also scores as arrays
-    (:meth:`predictive_rows`); O(q^2) per step and O(max(p,q)^2) state
-    for MA(q) and ARMA(p,q); O(i) at step i for a user autocovariance, so
-    O(n^2) per pass by nature, keeping only the current weights.
+    once.  An ARMA(p,q) spec keeps O(max(p,q)^2) state and costs O(p + q^2)
+    per step until it is fixed, then O(p+q); the fold scores AR(p) rows beyond
+    step p as arrays (:meth:`predictive_rows`).  A user autocovariance costs
+    O(i) at step i, O(n^2) per pass by nature, keeping only the current weights.
     """
 
     def __init__(self, spec: StationaryProcessSpec, identifier: str | None = None):

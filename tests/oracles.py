@@ -3,17 +3,19 @@
 Everything here deliberately avoids the closed forms implemented in the
 package: derivatives come from finite differences, normalizing constants
 from adaptive quadrature, conditional Gaussian moments from a dense
-Cholesky/Schur-complement computation, and compensated running sums from a
-term-by-term loop.  A shared algebra mistake between
+Cholesky/Schur-complement computation, compensated running sums from a
+term-by-term loop, and ARMA moments from the innovations algorithm without
+its steady-state shortcut.  A shared algebra mistake between
 library and test would have to survive two unrelated derivations.
 """
 
+import collections
 import math
 
 import numpy as np
 from scipy import integrate, stats
 
-from preqscore.errors import NonFiniteValue
+from preqscore.errors import NonFiniteValue, NotPositiveDefinite
 
 
 def fd_first(f, x, h=1e-5):
@@ -121,3 +123,50 @@ def compensated_cumsum_loop(values):
         total = t
         out[i] = total + c
     return out
+
+
+def innovations_loop(spec, x):
+    """(mean, variance) of X_i given x[:i - 1] for i = 1..n+1 from the innovations
+    algorithm on Ansley's transformed process, recomputing every row of theta and
+    v_n at every step: the reference for the pass that stops once they are fixed.
+    """
+    mean, (phis, thetas, s2) = spec.mean, spec.arma
+    q = len(thetas)
+    m = max(len(phis), q)
+    gam = [spec.gamma(k) for k in range(m + 1)]
+    cross = [gam[h] - sum(phi * gam[abs(h - r)] for r, phi in enumerate(phis, 1)) for h in range(q + 1)]
+    th = (1.0, *thetas)
+    tail = [s2 * sum(th[j] * th[j + h] for j in range(q + 1 - h)) for h in range(q + 1)]
+    rows = collections.deque(maxlen=m)
+    vs = collections.deque(maxlen=m)
+    innovations = collections.deque(maxlen=m)
+    recent = collections.deque(maxlen=len(phis))
+    xhat = mean
+    for n in range(x.size + 1):
+        if n:
+            xn = float(x[n - 1])
+            innovations.appendleft(xn - xhat)
+            recent.appendleft(xn - mean)
+        width = n if n < m else q
+        row = [0.0] * width
+        for j in range(width, 0, -1):
+            row_j = rows[-j]
+            acc = gam[j] if n < m else cross[j] if n - j < m else tail[j]
+            if j < width:
+                for t in range(j + 1, min(width, j + len(row_j)) + 1):
+                    acc -= row_j[t - j - 1] * row[t - 1] * vs[-t]
+            row[j - 1] = acc / vs[-j]
+        v = gam[0] if n < m else tail[0]
+        deviation = 0.0
+        for theta, u, w in zip(row, innovations, reversed(vs)):
+            v -= theta * theta * w
+            deviation += theta * u
+        if not v > 0:
+            raise NotPositiveDefinite(n + 1)
+        if n >= m:
+            for phi, d in zip(phis, recent):
+                deviation += phi * d
+        xhat = mean + deviation
+        rows.append(row)
+        vs.append(v)
+        yield xhat, v

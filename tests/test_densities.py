@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preqscore import (
@@ -83,6 +83,18 @@ def test_cubic_inverse_extremes():
         assert math.isfinite(x)
         assert t.g(x) == pytest.approx(y, rel=1e-12, abs=1e-300)
     assert t.inverse(2.0) == pytest.approx(1.0, rel=1e-14)
+
+
+@example(1e-30, 1.0)
+@example(1e-40, -1.0)
+@example(1e-300, 1.0)
+@given(st.floats(min_value=1e-300, max_value=1e100), st.sampled_from([1.0, -1.0]))
+def test_cubic_inverse_recovers_x_within_four_ulp(magnitude, sign):
+    # The Cardano form's absolute error is near 1e-17, so a tiny |y| needs its own
+    # route, or inverse(g(1e-30)) is 1 % off and inverse(g(1e-40)) is 0.0.
+    t = cubic_plus_linear_transform()
+    x = sign * magnitude
+    assert abs(t.inverse(t.g(x)) - x) <= 4 * math.ulp(x)
 
 
 def test_cubic_derivatives_match_finite_differences():

@@ -293,6 +293,14 @@ def test_reparametrisation_default_transform():
     assert res.aggregates["min_hyvarinen_divergence"] > 1e-6
 
 
+def test_reparametrisation_log_invariance_holds_at_a_tiny_scale():
+    # At tau_q2 = 1e-100 the data are near 1e-50, far below the 1e-17 absolute error
+    # of the cubic's Cardano inverse, which would move the log-score deltas by 5.2.
+    res = run_reparametrisation(cfg("reparametrisation", n=200, replicates=5, tau_q2=1e-100))
+    assert res.aggregates["max_log_delta_gap"] <= 1e-10
+    assert res.assertions["log_deltas_invariant"]
+
+
 def test_reparametrisation_affine_behaves_like_unit_change():
     res = run_reparametrisation(
         cfg("reparametrisation", n=200, replicates=3), transform=affine_transform(2.0)

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "preqscore"
+RUNTIME_MODULES = sys.stdlib_module_names | {"numpy"}  # pyproject.toml's only runtime dependency
 
 
 def _integer_powers(source: str) -> list[int]:
@@ -35,3 +37,34 @@ def test_squares_and_cubes_are_products():
     # rounds the same on floats and arrays, so scalar and row scores agree and scale exactly.
     found = [f"{path.name}:{line}" for path in sorted(SRC.glob("*.py")) for line in _integer_powers(path.read_text())]
     assert not found, f"integer powers by ** (write them as products): {', '.join(found)}"
+
+
+def _foreign_imports(source: str) -> list[tuple[int, str]]:
+    """(line, module) of every absolute import outside the standard library and numpy;
+    relative imports (``from .models import ...``) are the package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name.partition(".")[0] not in RUNTIME_MODULES]
+    return found
+
+
+def test_the_import_check_finds_other_packages():
+    source = (
+        "import math\nimport scipy.stats\nfrom hypothesis import given\nfrom . import models\n"
+        "from .scores import _score\nimport numpy as np, pytest\nfrom numpy.linalg import solve\n"
+        "def f():\n    import pandas\n"
+    )
+    assert _foreign_imports(source) == [(2, "scipy.stats"), (3, "hypothesis"), (6, "pytest"), (9, "pandas")]
+
+
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    # scipy, hypothesis and pytest are test dependencies: importing one here would break a
+    # plain install and add its import time to every CLI run.
+    found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py")) for line, name in _foreign_imports(path.read_text())]
+    assert not found, f"imports outside the standard library and numpy: {', '.join(found)}"

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preqscore import (
     NonFiniteValue,
@@ -26,7 +28,7 @@ from preqscore import (
 )
 from preqscore.stationary import Ar1MarkovModel, StationaryProcessSpec
 
-from oracles import conditional_gaussian_oracle
+from oracles import conditional_gaussian_oracle, innovations_loop
 
 AR_CASES = [(0.5,), (0.5, -0.3), (0.4, -0.2, 0.1)]
 
@@ -340,8 +342,12 @@ def test_trace_evaluates_each_lag_once():
 # The fold over a series
 # ---------------------------------------------------------------------------
 
-FOLD_SPECS = {  # spec and the number of steps served by the Durbin-Levinson recursion (None: all)
+# Spec and the number of first steps that equal the Durbin-Levinson recursion bit for bit
+# (None: all).  Only a user autocovariance runs that recursion; every ARMA spec, AR
+# included, runs the innovations algorithm, whose first p steps of ar2 still equal it.
+FOLD_SPECS = {
     "ar2": (ar_process([0.5, -0.2], 1.0, mean=0.4), 2),
+    "ar3": (ar_process([0.4, -0.2, 0.1], 1.0, mean=0.4), 0),
     "ma2": (ma_process([0.4, 0.3], 1.0, mean=0.5), 0),
     "arma21": (arma_process([0.5, -0.3], [0.4], 1.2, mean=-0.3), 0),
     "ma2-autocov": (StationaryProcessSpec(0.5, ma_process([0.4, 0.3], 1.0).gamma, label="ma2-autocov"), None),
@@ -370,6 +376,8 @@ INNOVATIONS_SPECS = {
     "ma3": ma_process([0.5, -0.2, 0.1], 1.3, mean=-1.0),
     "arma11": arma_process([0.5], [0.4], 1.0, mean=2.0),
     "arma21": arma_process([0.5, -0.3], [0.4], 1.5),
+    "ar3": ar_process([0.4, -0.2, 0.1], 1.3, mean=0.5),
+    "ar4": ar_process([0.5, -0.3, 0.2, -0.1], 0.8),
 }
 
 
@@ -432,3 +440,55 @@ def test_ma_trace_keeps_only_the_current_weights():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+# ---------------------------------------------------------------------------
+# The innovations steady state
+# ---------------------------------------------------------------------------
+
+# The rows and v do not depend on the data; they are fixed from step 21, 42, 157, 1431,
+# never, never, 44 and 0 respectively, so n = 2000 passes every switch.
+STEADY_SPECS = {
+    "ma(0.4)": ma_process([0.4], 1.0),
+    "ma(0.4,0.3,0.2)": ma_process([0.4, 0.3, 0.2], 1.0),
+    "ma(0.9)": ma_process([0.9], 1.0),
+    "ma(0.99)": ma_process([0.99], 1.0),
+    "ma(1.0)": ma_process([1.0], 1.0),
+    "ma(-1.0)": ma_process([-1.0], 1.0),
+    "arma23": arma_process([0.5, -0.3], [0.4, 0.2, -0.1], 1.2, mean=-0.7),
+    "white": white_noise(1.5, mean=0.2),
+}
+
+
+def _moments_bits(moments):
+    return np.array([(q.mean, q.variance) for q in moments]).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(STEADY_SPECS))
+def test_steady_state_pass_equals_the_full_innovations_loop_bitwise(name):
+    spec = STEADY_SPECS[name]
+    x = spec.mean + stream(12, 0).standard_normal(2000)
+    want = np.array(list(innovations_loop(spec, x))).view(np.int64)
+    np.testing.assert_array_equal(_moments_bits(process_model(spec).predictives(x)), want)
+
+
+def _stationary_ar(kappas):
+    """AR coefficients with the given partial autocorrelations (the step-up recursion)."""
+    phis = []
+    for k, kappa in enumerate(kappas):
+        phis = [phis[j] - kappa * phis[k - 1 - j] for j in range(k)] + [kappa]
+    return phis
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.floats(-0.9, 0.9), max_size=2),
+    st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=3),
+    st.floats(0.1, 10.0),
+    st.integers(0, 2**32),
+)
+def test_steady_state_pass_equals_the_full_loop_on_random_arma(kappas, thetas, s2, seed):
+    spec = arma_process(_stationary_ar(kappas), thetas, s2, mean=0.3)
+    x = sample_path(spec, 600, seed=seed)
+    want = np.array(list(innovations_loop(spec, x))).view(np.int64)
+    np.testing.assert_array_equal(_moments_bits(process_model(spec).predictives(x)), want)
