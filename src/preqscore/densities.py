@@ -188,6 +188,7 @@ def cubic_plus_linear_transform() -> MonotoneTransform:
         # Single real root of x^3 + x = y.  Writing t = cbrt(y/2 + sqrt(y^2/4 + 1/27))
         # gives x = t - 1/(3t); the product of the two Cardano cube roots is -1/3,
         # so this form avoids cancellation.  Use oddness for y < 0.
+        y = float(y)  # whose y*y overflows to inf without the warning a numpy float gives
         if y < 0:
             return -inverse(-y)
         if y < 2.0**-27:  # y*y*y is below half an ulp of y, so the rounded root is y (0 included)

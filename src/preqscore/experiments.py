@@ -17,8 +17,7 @@ replicate index, making them independent of record order as well.
 
 Every runner reads its score rows from the prequential fold
 (:func:`preqscore.prequential._score_matrix`), so experiments and traces
-share one path from data to D_n and its non-finite guard.  The one
-exception is reparametrisation's y-scale pushforward scores (see there).
+share one path from data to D_n and its non-finite guard.
 """
 
 from __future__ import annotations
@@ -30,16 +29,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .densities import (
-    MonotoneTransform,
-    cubic_plus_linear_transform,
-    gaussian_density,
-    pushforward_density,
-)
+from .densities import MonotoneTransform, cubic_plus_linear_transform, pushforward_density
 from .errors import IndexOutOfRange, NonFiniteValue, NonPositiveScale
-from .models import PredictiveModel, iid_gaussian_model
+from .models import IIDModel, PredictiveModel, iid_gaussian_model
 from .prequential import TIE, DeltaTrace, _argmin, _choose, _score_matrix, delta_trace
-from .scores import ScoreRule, _density_hyvarinen_score, _density_log_score
+from .scores import ScoreRule
 from .stationary import Ar1MarkovModel, StationaryProcessModel, sample_path
 from .streams import stream
 
@@ -451,24 +445,19 @@ def run_reparametrisation(config: ExperimentConfig, transform: MonotoneTransform
 
     Log-score per-step differences are unchanged (the Jacobian term cancels
     between models); gradient-rule differences are not, except for affine
-    transforms, which reduce to a unit change.
+    transforms, which reduce to a unit change.  The y scale is scored by the
+    fold too, against iid models of the two pushed-forward laws.
     """
     t = transform if transform is not None else cubic_plus_linear_transform()
     pair = _variance_pair(config)
-    # The y-scale scores apply the density kernels to the pushed-forward laws
-    # directly: the two pushforwards are built once per replicate, where a
-    # TransformedModel pair would build two per step.
-    dens_x = (gaussian_density(0.0, config.tau_p2), gaussian_density(0.0, config.tau_q2))
-    dens_y = tuple(pushforward_density(d, t) for d in dens_x)
+    pair_y = [IIDModel(pushforward_density(m.law.density(), t), f"{t.name}:{m.identifier}") for m in pair]
 
     def fill(rec, x):
         rec["transform"] = t.name
         t.require_increasing_on(x)
         y = np.array([t.g(float(v)) for v in x])
         for rule in _RULE_KEYS:
-            delta_x = _per_step(pair, x, rule)
-            kernel = _density_log_score if rule == ScoreRule.LOG.value else _density_hyvarinen_score
-            delta_y = np.array([kernel(v, dens_y[1]) - kernel(v, dens_y[0]) for v in y.tolist()])
+            delta_x, delta_y = _per_step(pair, x, rule), _per_step(pair_y, y, rule)
             gap = np.abs(delta_y - delta_x)
             if rule == ScoreRule.LOG.value:
                 rec["log_delta_gap"] = float(np.max(gap))

@@ -1,8 +1,8 @@
 """One-step-ahead predictive models.
 
 A model maps a history ``(x_1, ..., x_{i-1})`` to the conditional law of the
-next observation.  Two kinds are provided: fully specified models (no unknown
-parameters) and parametric normal models under flat, possibly improper,
+next observation.  Two kinds are provided: fully specified models, whose every
+predictive is one law, and parametric normal models under flat, possibly improper,
 priors.  The latter are the interesting case: their early predictives are
 improper, which breaks the log score but not gradient-based scoring.
 
@@ -14,9 +14,9 @@ model keeps the pulled-back series, an O(n) array.  Sufficient statistics are
 reduced with ``math.fsum`` so that any permutation of an exchangeable
 history yields bit-identical predictives; the partials are the ones
 ``math.fsum`` keeps, so a pass and ``predictive_at`` agree bit for bit.
-``predictive_rows`` gives the same laws as arrays of one family: normal for iid
-normal and flatloc, Student-t for flatscale, the last two from their passes'
-running sums and only under hyvarinen, since under log their start raises.
+``predictive_rows`` gives the same laws as rows of one family: an iid model's law,
+and under hyvarinen arrays of normal laws for flatloc and Student-t for flatscale
+from their passes' running sums (under log their improper start raises).
 """
 
 from __future__ import annotations
@@ -66,8 +66,9 @@ class PredictiveModel:
     def predictive_rows(self, x: np.ndarray, rule: ScoreRule):
         """``(k, family, laws)``: for observations k+1..n of the validated series ``x``
         the predictive is the ``family`` law whose fields ``laws`` holds, each a float or
-        n - k entries, bit for bit ``predictive_at(x[:i])``; the fold scores them as
-        arrays under ``rule``.  The default, None, leaves every step to ``predictives``."""
+        n - k entries, or ``laws`` itself for a family with no array kernel, bit for bit
+        ``predictive_at(x[:i])``; the fold scores them under ``rule``.  The default, None,
+        leaves every step to ``predictives``."""
         return None
 
     def __repr__(self):
@@ -124,26 +125,22 @@ def _require_finite(**params: float) -> None:
             raise NonFiniteValue(f"{name} must be finite, got {float(value)!r}")
 
 
-class IIDGaussianModel(PredictiveModel):
-    """Fully specified model: every predictive is the same normal law."""
+class IIDModel(PredictiveModel):
+    """Fully specified model: every predictive is the one law ``law``."""
 
-    def __init__(self, mean: float, variance: float, identifier: str | None = None):
-        _require_finite(mean=mean, variance=variance)
-        if not variance > 0:
-            raise NonPositiveVariance(f"variance must be positive, got {variance}")
-        self.mean = float(mean)
-        self.variance = float(variance)
-        self.identifier = identifier or f"iidnorm({self.mean},{self.variance})"
+    def __init__(self, law, identifier: str):
+        self.law = law
+        self.identifier = identifier
 
-    def predictive_at(self, history) -> GaussianPredictive:
+    def predictive_at(self, history):
         _check_history(history)
-        return GaussianPredictive(self.mean, self.variance)
+        return self.law
 
     def predictives(self, x):
-        return itertools.repeat(GaussianPredictive(self.mean, self.variance), x.size + 1)
+        return itertools.repeat(self.law, x.size + 1)
 
     def predictive_rows(self, x, rule):
-        return 0, GaussianPredictive, self  # whose mean and variance are every law's
+        return 0, type(self.law), self.law  # one law, every row's
 
 
 class FlatPriorLocationModel(PredictiveModel):
@@ -242,7 +239,9 @@ class FlatPriorScaleModel(PredictiveModel):
 
 def iid_gaussian_model(mean: float, variance: float, identifier: str | None = None) -> PredictiveModel:
     """Fully specified iid normal model N(mean, variance)."""
-    return IIDGaussianModel(mean, variance, identifier)
+    _require_finite(mean=mean, variance=variance)
+    law = GaussianPredictive(float(mean), float(variance))
+    return IIDModel(law, identifier or f"iidnorm({law.mean},{law.variance})")
 
 
 def flat_prior_location_model(variance: float, identifier: str | None = None) -> PredictiveModel:

@@ -14,11 +14,11 @@ model raises at the offending observation.
 Every score row, for traces, selections and the experiment runners, comes
 from one fold: a loop over each model's predictives pass, scoring each with
 the one scalar scorer that decides how any predictive meets a rule, and ahead
-of it the same closed-form kernels on whole rows of one family, bit for bit
-equal: normal rows for iid normal and AR(p) after step p; under hyvarinen,
-normal rows for flatloc and Student-t rows for flatscale after step 1.  A
-non-finite score or an arithmetic failure in such a row sends every row back
-to the loop, which raises its usual, located error.
+of it the same kernels on whole rows of one family, bit for bit equal: an iid
+model's one law from step 1 (an observation at a time for a law with no array
+kernel, such as a pushforward density), AR(p) after step p, and under hyvarinen
+flatloc and flatscale after step 1.  A non-finite score or any failure in such
+a row sends every row back to the loop, which raises its usual, located error.
 
 Cumulative sums use Neumaier's compensated summation: D_n drives decisions,
 and plain running sums can drift enough to flip a sign near the cutoff.
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import EmptyTrace, NonFiniteValue, PreqscoreError
 from .models import PredictiveModel, _check_history
-from .scores import _KERNELS, ScaledRule, ScoreRule, _score, as_rule
+from .scores import ScaledRule, ScoreRule, _row_kernel, _score, as_rule
 
 __all__ = [
     "TIE",
@@ -120,14 +120,16 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
     """Score every observation prequentially under every model.
 
     Returns the validated data, the (models, observations) score matrix and
-    the coerced rule.  Row tails filled by :func:`_array_rows` are skipped;
-    the scalar loop scores the rest from one ``predictives`` pass per model,
-    visiting observations in order and, at each one, the models in list
-    order.  A ``PreqscoreError``, ``ValueError`` or ``TypeError`` keeps its class and is
+    the coerced rule; a rule that scores no density raises ``ValueError``, whatever
+    the data.  Row tails filled by :func:`_array_rows` are skipped; the scalar loop
+    scores the rest from one ``predictives`` pass per model, visiting observations
+    in order and, at each one, the models in list order.  A ``PreqscoreError``, ``ValueError`` or ``TypeError`` keeps its class and is
     re-raised with the model and the 1-based index of the observation; an
     arithmetic failure or non-finite score becomes :class:`NonFiniteValue`.
     """
     r = as_rule(rule)
+    if r.base is not ScoreRule.LOG and r.base is not ScoreRule.HYVARINEN:
+        raise ValueError(f"rule {r.base.value} is not defined for predictive densities")
     x = _check_history(data)
     scores = np.zeros((len(models), x.size))
     ends = _array_rows(models, x, r, scores)
@@ -151,31 +153,26 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
 
 def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule, scores: np.ndarray) -> list[int]:
     """Fill each row tail of the zero matrix ``scores`` that a model's
-    :meth:`~PredictiveModel.predictive_rows` covers (iid normal, AR(p), and flatloc and
-    flatscale under hyvarinen) with the kernel that :func:`_score` uses for the family.
+    :meth:`~PredictiveModel.predictive_rows` covers (an iid model, AR(p), and flatloc and
+    flatscale under hyvarinen) with the kernel :func:`~preqscore.scores._row_kernel` picks:
+    the family's array kernel, or for one with none, such as a pushforward density, the
+    row's one law scored an observation at a time.
 
-    Returns, per model, the number of leading observations left to the
-    scalar loop; all of them for every model after a non-finite score or an
-    arithmetic failure.
+    Returns, per model, the number of leading observations left to the scalar
+    loop; all of them for every model after a non-finite score or any failure.
     """
-    scalar = [x.size] * len(models)
-    hyvarinen = r.base is ScoreRule.HYVARINEN
-    if not hyvarinen and r.base is not ScoreRule.LOG:
-        return scalar
-    ends = scalar.copy()
+    ends = [x.size] * len(models)
     try:
         with np.errstate(all="ignore"):
             for m, model in enumerate(models):
                 rows = model.predictive_rows(x, r.base)
                 if rows is not None:
                     k, family, laws = rows
-                    log_kernel, hyvarinen_kernel = _KERNELS[family]
-                    kernel = hyvarinen_kernel if hyvarinen else log_kernel
-                    np.multiply(r.scale, kernel(x[k:], laws), out=scores[m, k:])
+                    np.multiply(r.scale, _row_kernel(family, r.base)(x[k:], laws), out=scores[m, k:])
                     ends[m] = k
-    except ArithmeticError:
-        return scalar
-    return ends if np.isfinite(scores).all() else scalar
+    except (ArithmeticError, PreqscoreError, ValueError, TypeError):
+        return [x.size] * len(models)
+    return ends if np.isfinite(scores).all() else [x.size] * len(models)
 
 
 def _located(e: Exception, model: PredictiveModel, i: int) -> Exception:

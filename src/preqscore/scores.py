@@ -28,6 +28,7 @@ second-order gradient-based score above, and decision-induced scores.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -207,9 +208,9 @@ def _density(predictive) -> DensityWithDerivatives:
 
 
 # The log and the gradient-based kernel of each predictive, by family.  :func:`_score` applies
-# them to one predictive, the prequential fold to whole rows of a family, an object whose fields
-# are then arrays; one table, with every square a product (libm ``pow`` misrounds some), so both
-# routes agree bit for bit.  Any other predictive, the improper ones included, and a Student-t
+# them to one predictive, the prequential fold (:func:`_row_kernel`) to whole rows of a family,
+# an object whose fields are then arrays; one table, with every square a product (libm ``pow``
+# misrounds some), so both routes agree bit for bit.  Any other predictive, the improper ones included, and a Student-t
 # law under log, which needs its normalizing constant, are scored from its density's log-derivatives.
 _BY_DENSITY = (lambda x, p: _density_log_score(x, _density(p)), lambda x, p: _density_hyvarinen_score(x, _density(p)))
 _KERNELS = {
@@ -217,6 +218,18 @@ _KERNELS = {
     StudentTPredictive: (_BY_DENSITY[0], _student_t_hyvarinen_score),
 }
 _LOG, _HYVARINEN = ScoreRule.LOG, ScoreRule.HYVARINEN
+
+
+def _row_kernel(family: type, base: ScoreRule):
+    """The kernel the fold applies to a row of ``family`` laws under ``base``: its array kernel,
+    or for a family with none, such as a pushforward density, the row's one law, whose density
+    is taken once and scores each observation."""
+    hyvarinen = base is _HYVARINEN
+    kernel = _KERNELS.get(family, _BY_DENSITY)[hyvarinen]
+    if kernel is not _BY_DENSITY[hyvarinen]:
+        return kernel
+    by_density = _density_hyvarinen_score if hyvarinen else _density_log_score
+    return lambda x, law: np.fromiter(map(by_density, x.tolist(), itertools.repeat(_density(law))), float, x.size)
 
 
 def _score(x: float, predictive, base: ScoreRule) -> float:

@@ -279,8 +279,8 @@ def _innovations(spec: StationaryProcessSpec, x: np.ndarray):
     m = max(len(phis), q)
     # kappa(i, i-h), the covariance of W_i and W_{i-h}: gamma(h) while i <= m, that of
     # phi(B)X_i and X_{i-h} for i-h <= m < i, and that of theta(B)Z_i and theta(B)Z_{i-h} beyond
-    gam = [spec.gamma(k) for k in range(m + 1)]
-    cross = [gam[h] - sum(phi * gam[abs(h - r)] for r, phi in enumerate(phis, 1)) for h in range(q + 1)]
+    gam = [spec.gamma(k) for k in range(max(m, q + 1) if q else m)]  # the lags read below
+    cross = [gam[h] - sum(phi * gam[abs(h - r)] for r, phi in enumerate(phis, 1)) for h in range(1, q + 1)]
     th = (1.0, *thetas)
     tail = [s2 * sum(th[j] * th[j + h] for j in range(q + 1 - h)) for h in range(q + 1)]
     rows = collections.deque(maxlen=m)  # theta_{n-j,1..} for j = m..1
@@ -300,7 +300,7 @@ def _innovations(spec: StationaryProcessSpec, x: np.ndarray):
             for j in range(width, 0, -1):
                 # theta_{n,j} v_{n-j} = kappa(n+1, n+1-j) - sum_{t>j} theta_{n-j,t-j} theta_{n,t} v_{n-t}
                 row_j = rows[-j]
-                acc = gam[j] if n < m else cross[j] if n - j < m else tail[j]
+                acc = gam[j] if n < m else cross[j - 1] if n - j < m else tail[j]
                 if j < width:
                     for t in range(j + 1, min(width, j + len(row_j)) + 1):
                         acc -= row_j[t - j - 1] * row[t - 1] * vs[-t]

@@ -10,9 +10,9 @@ from dataclasses import MISSING, fields
 import numpy as np
 import pytest
 
-from preqscore import ExperimentConfig, NonFiniteValue, cli, stream
+from preqscore import ExperimentConfig, GaussianPredictive, NonFiniteValue, cli, stream
 from preqscore.cli import _write_json, cli_main, parse_model_spec, read_data_csv
-from preqscore.models import FlatPriorLocationModel, FlatPriorScaleModel, IIDGaussianModel
+from preqscore.models import FlatPriorLocationModel, FlatPriorScaleModel, IIDModel
 from preqscore.stationary import StationaryProcessModel
 
 
@@ -32,8 +32,8 @@ def write_data(path, values):
 
 def test_parse_iidnorm():
     m = parse_model_spec("iidnorm(0.5, 2)")
-    assert isinstance(m, IIDGaussianModel)
-    assert (m.mean, m.variance) == (0.5, 2.0)
+    assert isinstance(m, IIDModel)
+    assert m.law == GaussianPredictive(0.5, 2.0)
     assert m.identifier == "iidnorm(0.5, 2)"
 
 
@@ -91,6 +91,9 @@ def test_read_data_csv_roundtrip(tmp_path):
     values = [0.25, -1.5, 3.0]
     path = write_data(tmp_path / "d.csv", values)
     np.testing.assert_array_equal(read_data_csv(path), values)
+    blank_rows = tmp_path / "blank.csv"
+    blank_rows.write_text("x\n0.25\n\n-1.5\n\n3.0\n\n")
+    assert read_data_csv(blank_rows).tolist() == values
 
 
 def test_read_data_csv_errors(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from preqscore import (
     NonMonotoneTransform,
+    NonPositiveVariance,
     affine_transform,
     cubic_plus_linear_transform,
     gaussian_density,
@@ -53,6 +54,23 @@ def test_gaussian_rejects_bad_variance():
         gaussian_density(0.0, -2.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: student_t_density(0.0, 0.0, 3.0),
+        lambda: student_t_density(0.0, -1.0, 3.0),
+        lambda: student_t_density(0.0, 1.0, 0.0),
+        lambda: student_t_density(0.0, 1.0, -2.0),
+        lambda: laplace_density(0.0, 0.0),
+        lambda: laplace_density(0.0, -1.0),
+    ],
+    ids=["t-scale-0", "t-scale-neg", "t-dof-0", "t-dof-neg", "laplace-scale-0", "laplace-scale-neg"],
+)
+def test_densities_reject_non_positive_scale_and_dof(build):
+    with pytest.raises(NonPositiveVariance, match="must be positive"):
+        build()
+
+
 def test_shift_density_keeps_derivatives_and_drops_propriety():
     base = gaussian_density(1.0, 2.0)
     shifted = shift_density(base, 7.25)
@@ -95,6 +113,15 @@ def test_cubic_inverse_recovers_x_within_four_ulp(magnitude, sign):
     t = cubic_plus_linear_transform()
     x = sign * magnitude
     assert abs(t.inverse(t.g(x)) - x) <= 4 * math.ulp(x)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("exponent", [155, 160, 200, 250, 300])
+def test_cubic_inverse_takes_numpy_floats(exponent, sign):
+    # 27 y y overflows for |y| > 1e154: on a numpy float that warned, and warnings are errors here.
+    t = cubic_plus_linear_transform()
+    y = sign * float(f"1e{exponent}")
+    assert t.inverse(np.float64(y)) == t.inverse(y)
 
 
 def test_cubic_derivatives_match_finite_differences():

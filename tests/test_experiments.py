@@ -103,6 +103,9 @@ def test_resolved_min_frequency_thresholds():
     assert cfg("multi-model", n=2000, replicates=500).resolved_min_frequency() == 0.95
     assert cfg("multi-model", n=100, replicates=10).resolved_min_frequency() == 0.5
     assert cfg("consistency", min_frequency=0.7).resolved_min_frequency() == 0.7
+    for e in Experiment:
+        if e not in (Experiment.CONSISTENCY, Experiment.MULTI_MODEL):
+            assert cfg(e.value, n=5000, replicates=500).resolved_min_frequency() == 0.5
 
 
 def test_config_to_dict_is_json_safe():

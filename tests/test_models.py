@@ -64,6 +64,21 @@ def test_non_finite_parameters_are_rejected_when_built(build, name):
     assert info.value.index is None
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: iid_gaussian_model(0.0, 0.0),
+        lambda: iid_gaussian_model(0.0, -1.0),
+        lambda: flat_prior_location_model(0.0),
+        lambda: flat_prior_location_model(-2.0),
+    ],
+    ids=["iidnorm-0", "iidnorm-neg", "flatloc-0", "flatloc-neg"],
+)
+def test_non_positive_variances_are_rejected_when_built(build):
+    with pytest.raises(NonPositiveVariance, match="^variance must be positive"):
+        build()
+
+
 def test_history_validation():
     m = iid_gaussian_model(0.0, 1.0)
     with pytest.raises(ValueError):

@@ -1,8 +1,10 @@
 """Trace construction, selection semantics, serialization, summation accuracy."""
 
+import dataclasses
 import io
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from preqscore import (
     TIE,
     DensityWithDerivatives,
     GaussianPredictive,
+    HyvarinenInapplicable,
     MonotoneTransform,
     PredictiveModel,
     TRACE_CSV_COLUMNS,
@@ -22,6 +25,7 @@ from preqscore import (
     InsufficientHistory,
     NonFiniteValue,
     ScoreRule,
+    StudentTPredictive,
     TransformedModel,
     ar_process,
     arma_process,
@@ -31,9 +35,12 @@ from preqscore import (
     delta_trace,
     flat_prior_location_model,
     flat_prior_scale_model,
+    gaussian_density,
     iid_gaussian_model,
+    laplace_density,
     ma_process,
     process_model,
+    pushforward_density,
     rescale_rule,
     score_predictive,
     select,
@@ -43,6 +50,7 @@ from preqscore import (
     trace_csv_text,
     write_trace_csv,
 )
+from preqscore.models import IIDModel
 from preqscore.prequential import _score_matrix
 
 from oracles import compensated_cumsum_loop
@@ -244,6 +252,72 @@ def test_flat_prior_rows_equal_scalar_scores_bitwise(v):
     models = [flat_prior_location_model(v), flat_prior_scale_model(0.2)]
     rows = _score_matrix(models, x, "hyvarinen")[1]
     np.testing.assert_array_equal(rows.view(np.int64), np.array(_scalar_rows(models, x, "hyvarinen")).view(np.int64))
+
+
+class _ArrayFieldRows(PredictiveModel):
+    """A user model of one law whose rows give every field as an array, as they may."""
+
+    identifier = "array-fields"
+
+    def __init__(self, law):
+        self.law = law
+
+    def predictive_at(self, history):
+        return self.law
+
+    def predictive_rows(self, x, rule):
+        fields = {name: np.full(x.size, value) for name, value in dataclasses.asdict(self.law).items()}
+        return 0, type(self.law), SimpleNamespace(**fields)
+
+
+@pytest.mark.parametrize("law", [GaussianPredictive(0.3, 1.7), StudentTPredictive(0.3, 1.2, 4.0)], ids=["normal", "student-t"])
+@pytest.mark.parametrize("rule", ["log", "hyvarinen", rescale_rule("log", 0.3)])
+def test_rows_with_array_fields_equal_scalar_scores_bitwise(law, rule):
+    # Under log a normal row's math.log and a Student-t row's density take no array;
+    # the row fails, and every row goes back to the loop, which scores as the scalar route.
+    model = _ArrayFieldRows(law)
+    x = 0.2 + 1.3 * stream(9, 0).standard_normal(40)
+    rows = _score_matrix([model, A], x, rule)[1]
+    np.testing.assert_array_equal(rows.view(np.int64), np.array(_scalar_rows([model, A], x, rule)).view(np.int64))
+
+
+class _CountedLaw:
+    """A law known only by its density; counts the calls of ``density()``."""
+
+    def __init__(self, q):
+        self.q, self.calls = q, 0
+
+    def density(self):
+        self.calls += 1
+        return self.q
+
+
+@pytest.mark.parametrize("rule", ["log", "hyvarinen", rescale_rule("hyvarinen", 0.3)])
+def test_an_iid_law_with_no_array_kernel_is_one_row_whose_density_is_taken_once(rule):
+    law = _CountedLaw(pushforward_density(gaussian_density(0.1, 0.9), cubic_plus_linear_transform()))
+    model = IIDModel(law, "pushed")
+    x = 0.2 + 1.3 * stream(4, 0).standard_normal(50)
+    want = np.array(_scalar_rows([model], x, rule))
+    law.calls = 0
+    rows = _score_matrix([model], x, rule)[1]
+    np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
+    assert law.calls == 1
+
+
+def test_a_non_smooth_iid_law_raises_located_out_of_the_row_route():
+    model = IIDModel(laplace_density(0.0, 1.0), "laplace")
+    with pytest.raises(HyvarinenInapplicable, match=r"\(model 'laplace', observation 1\)$"):
+        delta_trace(A, model, [0.5, 1.0], "hyvarinen")
+    assert delta_trace(A, model, [0.5, 1.0], "log").scores_b.tolist() == [math.log(2.0) + 0.5, math.log(2.0) + 1.0]
+
+
+@pytest.mark.parametrize("data", [[], [0.5, 1.0]], ids=["n=0", "n=2"])
+def test_a_rule_that_scores_no_density_is_rejected_before_scoring(data):
+    message = r"^rule decision-induced is not defined for predictive densities$"
+    with pytest.raises(ValueError, match=message):
+        delta_trace(A, B, data, "decision-induced")
+    with pytest.raises(ValueError, match=message):
+        select_among([A, B], data, ScoreRule.DECISION_INDUCED)
 
 
 class _DriftModel(PredictiveModel):

@@ -323,6 +323,12 @@ def test_check_propriety_skips_zero_mass_states():
     assert report.is_proper
 
 
+def test_check_propriety_of_an_empty_grid_finds_nothing():
+    report = check_propriety(lambda x, q: 0.0, [])
+    assert report.is_proper
+    assert report.n_distributions == 0
+
+
 def test_check_propriety_dimension_guard():
     with pytest.raises(DimensionMismatch):
         check_propriety(lambda x, q: 0.0, simplex_grid(2, 0.5), states=[0, 1, 2])

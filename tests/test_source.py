@@ -68,3 +68,53 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
     # plain install and add its import time to every CLI run.
     found = [f"{path.name}:{line} {name}" for path in sorted(SRC.glob("*.py")) for line, name in _foreign_imports(path.read_text())]
     assert not found, f"imports outside the standard library and numpy: {', '.join(found)}"
+
+
+SCORING_MODULES = {"scores.py", "prequential.py"}  # the scorer and the fold
+
+
+def _kernel_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every score kernel imported or read as a module attribute:
+    ``_KERNELS``, ``_BY_DENSITY``, or a name starting ``_density_``, ``_gaussian_`` or
+    ``_student_t_``.  ``_density`` itself, which unwraps a predictive, is not a kernel."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [
+            (node.lineno, name)
+            for name in names
+            if name in ("_KERNELS", "_BY_DENSITY") or name.startswith(("_density_", "_gaussian_", "_student_t_"))
+        ]
+    return sorted(found)
+
+
+def test_the_kernel_check_finds_imported_kernels():
+    source = (
+        "from .scores import ScoreRule, _KERNELS\nfrom .scores import _density, _density_log_score\n"
+        "from preqscore.scores import _gaussian_hyvarinen_score as h\nfrom . import scores\n"
+        "k = scores._student_t_hyvarinen_score\nfrom .scores import _score, _row_kernel\nb = scores._BY_DENSITY[0]\n"
+    )
+    assert _kernel_imports(source) == [
+        (1, "_KERNELS"),
+        (2, "_density_log_score"),
+        (3, "_gaussian_hyvarinen_score"),
+        (5, "_student_t_hyvarinen_score"),
+        (7, "_BY_DENSITY"),
+    ]
+
+
+def test_only_the_scorer_and_the_fold_import_score_kernels():
+    # Every score comes from the prequential fold: a runner that imports a kernel
+    # could score outside it again, past its ordering and its non-finite guard.
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in SCORING_MODULES
+        for line, name in _kernel_imports(path.read_text())
+    ]
+    assert not found, f"score kernels imported outside scores.py and prequential.py: {', '.join(found)}"

@@ -338,6 +338,34 @@ def test_trace_evaluates_each_lag_once():
     assert calls == list(range(30))
 
 
+@pytest.mark.parametrize(
+    "spec, lags",
+    [
+        (ar_process([0.5], 1.0), [0]),
+        (ar_process([0.4, -0.2, 0.1], 1.0), [0, 1, 2]),
+        (ma_process([0.4, 0.3], 1.0), [0, 1, 2]),
+        (arma_process([0.5, -0.3], [0.4], 1.2), [0, 1]),
+        (arma_process([0.5], [0.4, 0.2], 1.2), [0, 1, 2]),
+        (white_noise(1.5), []),
+    ],
+    ids=["ar1", "ar3", "ma2", "arma21", "arma12", "white"],
+)
+def test_innovations_pass_reads_only_the_lags_it_uses(spec, lags):
+    # gamma(0..max(p,q)-1) seed the first steps, and gamma(q) too when q >= p;
+    # an AR(p) pass reads gamma(0..p-1) and nothing else.
+    calls = []
+
+    def autocov(k):
+        calls.append(k)
+        return spec.gamma(k)
+
+    counted = StationaryProcessSpec(spec.mean, autocov, label="counted", arma=spec.arma)
+    x = sample_path(spec, 30, seed=6)
+    fold = [(q.mean, q.variance) for q in process_model(counted).predictives(x)]
+    assert calls == lags
+    assert fold == [(q.mean, q.variance) for q in process_model(spec).predictives(x)]
+
+
 # ---------------------------------------------------------------------------
 # The fold over a series
 # ---------------------------------------------------------------------------
