@@ -9,11 +9,12 @@ improper, which breaks the log score but not gradient-based scoring.
 Predictives are full Bayesian (parameters integrated out), not plug-in.
 Models hold no mutable state: a pass over a series is the generator
 ``predictives``, O(n) for every built-in kind.  It carries O(1) state (the
-flat-prior models a list of Shewchuk partials), except that a transformed
-model keeps the pulled-back series, an O(n) array.  Sufficient statistics are
-reduced with ``math.fsum`` so that any permutation of an exchangeable
-history yields bit-identical predictives; the partials are the ones
-``math.fsum`` keeps, so a pass and ``predictive_at`` agree bit for bit.
+flat-prior models one exact integer total), except that a transformed
+model keeps the pulled-back series, an O(n) array.  A pass adds the history
+exactly and rounds each sufficient statistic once, so every permutation of
+an exchangeable history yields bit-identical predictives.  ``predictive_at``
+reduces with ``math.fsum``, which is equal wherever it returns; it can raise
+an intermediate overflow, depending on order, where the exact sum fits.
 ``predictive_rows`` gives the same laws as rows of one family: an iid model's law,
 and under hyvarinen arrays of normal laws for flatloc and Student-t for flatscale
 from their passes' running sums (under log their improper start raises).
@@ -92,30 +93,23 @@ def _non_finite(i: int, v: float) -> NonFiniteValue:
 
 
 def _prefix_fsums(terms):
-    """``math.fsum`` of each prefix of ``terms`` (finite or +inf), bit for bit: each
-    finite term updates the Shewchuk partials as a step of fsum (CPython's msum)
-    does, and is read only after the sum before it is yielded.  As in fsum, a +inf
-    term makes every later sum inf, and a finite sum that overflows raises."""
-    partials, overflowed = [], False
+    """The correctly rounded sum of each prefix of ``terms`` (finite or +inf), so
+    ``math.fsum`` of it wherever fsum returns.  A finite float is a whole number of
+    units 2**-1074, so the total is one exact integer, rounded once by the division;
+    a term is read only after the sum before it is yielded.  A +inf term makes every
+    later sum inf, and a sum that overflows raises fsum's ``OverflowError``."""
+    total, overflowed = 0, False
     for v in terms:
         if math.isfinite(v):
-            i = 0
-            for y in partials:
-                if abs(v) < abs(y):
-                    v, y = y, v
-                hi = v + y
-                lo = y - (hi - v)
-                if lo:
-                    partials[i] = lo
-                    i += 1
-                v = hi
-            if not math.isfinite(v):
-                raise OverflowError("intermediate overflow in fsum")
-            partials[i:] = [v] if v else []
+            n, d = v.as_integer_ratio()
+            total += n << (1075 - d.bit_length())
         else:
-            partials.clear()
             overflowed = True
-        yield math.inf if overflowed else math.fsum(partials)
+        try:
+            s = math.inf if overflowed else total / (1 << 1074)
+        except OverflowError:
+            raise OverflowError("intermediate overflow in fsum") from None
+        yield s
 
 
 def _require_finite(**params: float) -> None:

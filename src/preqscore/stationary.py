@@ -170,12 +170,10 @@ def arma_process(
     if not np.all(np.isfinite(thetas)):
         raise NonFiniteValue(f"MA coefficients must be finite, got {thetas.tolist()}")
     p, q = phis.size, thetas.size
-    if p == q == 0:
-        return white_noise(innovation_variance, mean)
     s2 = float(innovation_variance)
-    kind = "arma" if p and q else "ar" if p else "ma"
+    kind = "arma" if p and q else "ar" if p else "ma" if q else "whitenoise"
     groups = [",".join(repr(float(c)) for c in cs) for cs in (phis, thetas) if cs.size]
-    label = f"{kind}({';'.join(groups)};{s2})"
+    label = f"{kind}({';'.join([*groups, repr(s2)])})"
     phi = phis.tolist()  # step-down (Schur-Cohn): stationary iff every |kappa_k| < 1
     for k in range(p, 0, -1):
         kappa = phi[k - 1]
@@ -231,12 +229,7 @@ def white_noise(variance: float, mean: float = 0.0) -> StationaryProcessSpec:
     _require_finite(variance=variance)
     if not variance > 0:
         raise NonPositiveVariance(f"variance must be positive, got {variance}")
-    return StationaryProcessSpec(
-        mean,
-        lambda k: variance if k == 0 else 0.0,
-        label=f"whitenoise({float(variance)})",
-        arma=((), (), variance),
-    )
+    return arma_process((), (), variance, mean)
 
 
 def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int = 0) -> np.ndarray:

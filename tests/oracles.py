@@ -4,8 +4,9 @@ Everything here deliberately avoids the closed forms implemented in the
 package: derivatives come from finite differences, normalizing constants
 from adaptive quadrature, conditional Gaussian moments from a dense
 Cholesky/Schur-complement computation, compensated running sums from a
-term-by-term loop, and ARMA moments from the innovations algorithm without
-its steady-state shortcut.  A shared algebra mistake between
+term-by-term loop, ARMA moments from the innovations algorithm without
+its steady-state shortcut, and the flat-prior models' log totals from their
+marginal likelihoods.  A shared algebra mistake between
 library and test would have to survive two unrelated derivations.
 """
 
@@ -85,6 +86,31 @@ def scale_predictive_pdf(x, history, mean):
 
     value, _ = integrate.quad(integrand, 0.0, np.inf, **_QUAD)
     return value
+
+
+def flat_location_log_total(x, variance):
+    """Log score of the flat-prior location model summed over observations 2..n:
+    minus the log of the density of x_2..x_n given x_1, the Gaussian integral over
+    the mean, 1/2 (n-1) log(2 pi v) + 1/2 log n + S / (2 v), with S the sum of
+    squared deviations from the sample mean (the chain rule, Dawid 1984)."""
+    n = len(x)
+    center = math.fsum(x) / n
+    s = math.fsum((v - center) ** 2 for v in x)
+    return 0.5 * (n - 1) * math.log(2.0 * math.pi * variance) + 0.5 * math.log(n) + s / (2.0 * variance)
+
+
+def flat_scale_log_total(x, mean):
+    """Log score of the known-mean model under the prior 1/v summed over observations
+    2..n: -log(m(x) / m(x_1)), where the marginal likelihood of k observations is
+    m = (2 pi)^(-k/2) Gamma(k/2) (SS/2)^(-k/2), SS their squared deviations from the mean."""
+
+    def log_marginal(d):
+        k = len(d)
+        ss = math.fsum(v**2 for v in d)
+        return -0.5 * k * math.log(2.0 * math.pi) + math.lgamma(0.5 * k) - 0.5 * k * math.log(0.5 * ss)
+
+    d = [v - mean for v in x]
+    return log_marginal(d[:1]) - log_marginal(d)
 
 
 def simplex_grid(n_states, step=0.1):

@@ -1,8 +1,11 @@
 """Predictive model checks against quadrature oracles and closed forms."""
 
 import dataclasses
+import itertools
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,9 +29,16 @@ from preqscore import (
     iid_gaussian_model,
     score_predictive,
 )
-from preqscore.models import PredictiveModel, StudentTPredictive, TransformedModel
+from preqscore.models import PredictiveModel, StudentTPredictive, TransformedModel, _prefix_fsums
 
-from oracles import fd_first, fd_second, location_predictive_pdf, scale_predictive_pdf
+from oracles import (
+    fd_first,
+    fd_second,
+    flat_location_log_total,
+    flat_scale_log_total,
+    location_predictive_pdf,
+    scale_predictive_pdf,
+)
 
 
 def test_iid_model_ignores_history():
@@ -327,7 +337,7 @@ _VALUES = st.just(0.0) | _MAGNITUDES | _MAGNITUDES.map(lambda v: -v)
 )
 def test_fold_equals_predictive_at_on_every_prefix_bitwise(kind, x):
     # Values repeat and include exact zeros; magnitudes span 1e-8 to 1e8, so
-    # the running partials hold several floats.
+    # fsum's partials in predictive_at hold several floats.
     _assert_fold_equals_prefixes(FOLD_MODELS[kind], np.array(x))
 
 
@@ -335,11 +345,11 @@ def test_fold_equals_predictive_at_on_every_prefix_bitwise(kind, x):
 @pytest.mark.parametrize(
     "x",
     [
-        [1e8, 1e-8, -1e8, 3.0, 1e-8],  # cancellation, and partials of several floats
+        [1e8, 1e-8, -1e8, 3.0, 1e-8],  # cancellation, and sums beyond one float's precision
         [0.1] * 10 + [1e8, -1e8],
         [1e-200] * 3 + [1.0],  # squares that underflow to zero
-        [1e154, 1e200, 1e154],  # an infinite square drops the partials, so no overflow follows
-        [1e154, 1e154, 1e200],  # the partials overflow first
+        [1e154, 1e200, 1e154],  # an infinite square makes every later sum inf, so no overflow follows
+        [1e154, 1e154, 1e200],  # the sum of squares overflows first
     ],
 )
 def test_fold_equals_predictive_at_on_extreme_sums(kind, x):
@@ -357,10 +367,110 @@ def test_fold_equals_predictive_at_on_extreme_sums(kind, x):
     ],
 )
 def test_running_sum_failures_match_the_closed_form(model, data, index, message):
-    # The running partials fail where math.fsum over the prefix fails, with its error.
+    # The exact running sums fail where a prefix's sum overflows, with math.fsum's error.
     with pytest.raises(NonFiniteValue, match=rf"{message}.*\(model '{re.escape(model.identifier)}', observation {index}\)$") as info:
         delta_trace(model, model, data, "hyvarinen")
     assert info.value.index == index
+
+
+_WIDE = st.floats(min_value=1e-300, max_value=1e150)
+_WIDE_VALUES = st.just(0.0) | _WIDE | _WIDE.map(lambda v: -v)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(["flatloc(0.7)", "flatscale(0.0)"]),
+    x=st.lists(_WIDE_VALUES, min_size=1, max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)),
+)
+def test_fold_equals_predictive_at_on_every_prefix_bitwise_over_wide_exponents(kind, x):
+    # Magnitudes span 1e-300 to 1e150: the exact totals meet wide exponent gaps
+    # and squares that underflow, while every sum stays finite, so fsum never raises.
+    _assert_fold_equals_prefixes(FOLD_MODELS[kind], np.array(x))
+
+
+_DBL_MAX = sys.float_info.max
+_TERMS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min)  # subnormals and zeros
+    | st.sampled_from([_DBL_MAX, -_DBL_MAX, 2.0**970, -(2.0**970), math.inf])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TERMS, max_size=12))
+def test_prefix_sums_are_correctly_rounded_and_equal_fsum_wherever_it_returns(terms):
+    sums = _prefix_fsums(terms)
+    for i in range(1, len(terms) + 1):
+        prefix = terms[:i]
+        try:
+            exact = math.inf if math.inf in prefix else float(sum(map(Fraction, prefix)))
+        except OverflowError:
+            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+                next(sums)
+            return
+        got = next(sums)
+        assert got.hex() == exact.hex(), f"prefix {i}"
+        try:
+            want = math.fsum(prefix)
+        except OverflowError:
+            continue  # an intermediate overflow of fsum, here or before, on a sum that fits
+        assert got.hex() == want.hex(), f"prefix {i}"
+
+
+def test_flat_location_pass_ends_in_one_predictive_for_every_order():
+    # Every prefix of every order has an exact sum that fits, yet math.fsum
+    # overflows on the way for two of the six orders.
+    terms = [_DBL_MAX, -(2.0**970), -9e307]
+    want = float(sum(map(Fraction, terms))) / 3
+    for order in itertools.permutations(terms):
+        *_, last = flat_prior_location_model(1.0).predictives(np.array(order))
+        assert last.mean == want, order
+
+
+def _total(model, x, rule="log"):
+    """The scores of observations 2..n under the predictives of one pass, summed by fsum."""
+    steps = itertools.islice(model.predictives(x), 1, x.size)
+    return math.fsum(score_predictive(float(v), q, rule).value for v, q in zip(x[1:], steps))
+
+
+_NORMAL_DATA = st.builds(
+    lambda n, seed, loc, scale: np.random.default_rng(seed).normal(loc, scale, n),
+    st.integers(2, 2000),
+    st.integers(0, 2**32 - 1),
+    st.floats(-10.0, 10.0),
+    st.floats(0.1, 10.0),
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=_NORMAL_DATA, variance=st.floats(0.2, 50.0))
+def test_flat_location_log_total_is_the_marginal_likelihood_and_order_free(x, variance):
+    # With 2 pi v > 1 every score is positive, so no cancellation blurs the comparison.
+    m = flat_prior_location_model(variance)
+    total = _total(m, x)
+    assert math.isclose(total, flat_location_log_total(x.tolist(), variance), rel_tol=1e-12)
+    assert math.isclose(_total(m, np.random.default_rng(1).permutation(x)), total, rel_tol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=_NORMAL_DATA, mean=st.floats(-10.0, 10.0))
+def test_flat_scale_log_total_is_the_marginal_likelihood_and_order_free(x, mean):
+    # The unscored improper factor m(x_1) belongs to the first observation, so
+    # only observations 2..n are permuted; abs_tol covers totals near zero.
+    m = flat_prior_scale_model(mean)
+    total = _total(m, x)
+    assert math.isclose(total, flat_scale_log_total(x.tolist(), mean), rel_tol=1e-12, abs_tol=1e-12)
+    shuffled = np.concatenate([x[:1], np.random.default_rng(1).permutation(x[1:])])
+    assert math.isclose(_total(m, shuffled), total, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_flat_location_hyvarinen_total_depends_on_the_order():
+    # The log total is minus the log of a joint density, so reversing the data
+    # leaves it; the Hyvarinen score has no such identity and moves.
+    x = np.random.default_rng(0).normal(0.0, 1.0, 500)
+    m = flat_prior_location_model(2.0)
+    assert math.isclose(_total(m, x[::-1]), _total(m, x), rel_tol=1e-12)
+    assert not math.isclose(_total(m, x[::-1], "hyvarinen"), _total(m, x, "hyvarinen"), rel_tol=1e-6)
 
 
 def test_underflowing_squared_deviations_leave_the_scale_posterior_improper():

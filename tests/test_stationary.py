@@ -133,6 +133,18 @@ def test_not_positive_definite_reports_failing_dimension():
     assert info.value.dimension == 1
 
 
+def test_innovations_pass_rejects_an_arma_part_that_contradicts_the_autocovariances():
+    # |gamma(1)| > gamma(0): no covariance matrix, so the second innovation variance is negative
+    bad = StationaryProcessSpec(
+        0.0, lambda k: 1.0 if k == 0 else 5.0 if k == 1 else 0.0, label="bad-ma", arma=((), (0.9,), 1.0)
+    )
+    with pytest.raises(NotPositiveDefinite) as info:
+        sample_path(bad, 5, 1)
+    assert info.value.dimension == 2
+    with pytest.raises(NotPositiveDefinite, match=r"\(model 'bad-ma', observation 2\)$"):
+        delta_trace(process_model(bad), iid_gaussian_model(0.0, 1.0), [0.1, 0.2, 0.3], "log")
+
+
 def test_durbin_levinson_input_validation():
     with pytest.raises(ValueError):
         durbin_levinson(white_noise(1.0), 0)
