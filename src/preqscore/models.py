@@ -13,8 +13,8 @@ flat-prior models one exact integer total), except that a transformed
 model keeps the pulled-back series, an O(n) array.  A pass adds the history
 exactly and rounds each sufficient statistic once, so every permutation of
 an exchangeable history yields bit-identical predictives.  ``predictive_at``
-reduces with ``math.fsum``, which is equal wherever it returns; it can raise
-an intermediate overflow, depending on order, where the exact sum fits.
+reduces with ``math.fsum``, which is equal wherever it returns; where its
+partials overflow, depending on order, flatloc takes the exact total instead.
 ``predictive_rows`` gives the same laws as rows of one family: an iid model's law,
 and under hyvarinen arrays of normal laws for flatloc and Student-t for flatscale
 from their passes' running sums (under log their improper start raises).
@@ -157,7 +157,14 @@ class FlatPriorLocationModel(PredictiveModel):
         n = h.size
         if n == 0:
             return FLAT_DENSITY
-        return GaussianPredictive(math.fsum(h) / n, self.variance * (1.0 + 1.0 / n))
+        try:
+            total = math.fsum(h)
+        except OverflowError:  # fsum's partials overflow for some orders of a sum that fits
+            try:
+                *_, total = _prefix_fsums(h.tolist())
+            except OverflowError:
+                raise NonFiniteValue(f"the sum of the {n} observations overflows") from None
+        return GaussianPredictive(total / n, self.variance * (1.0 + 1.0 / n))
 
     def predictives(self, x):
         yield FLAT_DENSITY

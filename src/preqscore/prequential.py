@@ -16,9 +16,11 @@ from one fold: a loop over each model's predictives pass, scoring each with
 the one scalar scorer that decides how any predictive meets a rule, and ahead
 of it the same kernels on whole rows of one family, bit for bit equal: an iid
 model's one law from step 1 (an observation at a time for a law with no array
-kernel, such as a pushforward density), AR(p) after step p, and under hyvarinen
-flatloc and flatscale after step 1.  A non-finite score or any failure in such
-a row sends every row back to the loop, which raises its usual, located error.
+kernel, such as a pushforward density), MA, ARMA and user-autocovariance
+processes from step 1 (the moments of one pass), AR(p) after step p, and under
+hyvarinen flatloc and flatscale after step 1.  A non-finite score or any failure
+in such a row sends every row back to the loop, which raises its usual, located
+error.
 
 Cumulative sums use Neumaier's compensated summation: D_n drives decisions,
 and plain running sums can drift enough to flip a sign near the cutoff.
@@ -153,10 +155,11 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
 
 def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule, scores: np.ndarray) -> list[int]:
     """Fill each row tail of the zero matrix ``scores`` that a model's
-    :meth:`~PredictiveModel.predictive_rows` covers (an iid model, AR(p), and flatloc and
-    flatscale under hyvarinen) with the kernel :func:`~preqscore.scores._row_kernel` picks:
-    the family's array kernel, or for one with none, such as a pushforward density, the
-    row's one law scored an observation at a time.
+    :meth:`~PredictiveModel.predictive_rows` covers (an iid model, every process model,
+    and flatloc and flatscale under hyvarinen) with the kernel
+    :func:`~preqscore.scores._row_kernel` picks: the family's array kernel, or for one
+    with none, such as a pushforward density, the row's one law scored an observation
+    at a time.
 
     Returns, per model, the number of leading observations left to the scalar
     loop; all of them for every model after a non-finite score or any failure.
@@ -170,7 +173,7 @@ def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule,
                     k, family, laws = rows
                     np.multiply(r.scale, _row_kernel(family, r.base)(x[k:], laws), out=scores[m, k:])
                     ends[m] = k
-    except (ArithmeticError, PreqscoreError, ValueError, TypeError):
+    except Exception:  # a row may run user code (an autocovariance, a density); the loop re-raises in order
         return [x.size] * len(models)
     return ends if np.isfinite(scores).all() else [x.size] * len(models)
 

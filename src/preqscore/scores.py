@@ -163,10 +163,20 @@ class StudentTPredictive:
         return student_t_density(self.center, self.scale, self.dof)
 
 
+def _math_log(v):
+    """``math.log`` of a float, or of each entry of an array: ``np.log`` rounds some
+    inputs differently.  It is taken once per run of equal consecutive entries, since a
+    pass's variances settle to one value, and no sort is paid."""
+    if not isinstance(v, np.ndarray):
+        return math.log(v)
+    starts = np.flatnonzero(np.concatenate(([v.size > 0], v[1:] != v[:-1])))
+    return np.repeat([math.log(u) for u in v[starts].tolist()], np.diff(starts, append=v.size))
+
+
 def _gaussian_log_score(x, q):
-    """Raw log score at ``x`` of the normal law ``q``; ``x`` and ``q.mean`` may be ndarrays."""
+    """Raw log score at ``x`` of the normal law ``q``, floats or ndarrays."""
     d = x - q.mean
-    return 0.5 * math.log(2.0 * math.pi * q.variance) + d * d / (2.0 * q.variance)
+    return 0.5 * _math_log(2.0 * math.pi * q.variance) + d * d / (2.0 * q.variance)
 
 
 def _gaussian_hyvarinen_score(x, q):

@@ -324,9 +324,11 @@ class StationaryProcessModel(PredictiveModel):
 
     :meth:`predictives` is one pass over the series that reads each value
     once.  An ARMA(p,q) spec keeps O(max(p,q)^2) state and costs O(p + q^2)
-    per step until it is fixed, then O(p+q); the fold scores AR(p) rows beyond
-    step p as arrays (:meth:`predictive_rows`).  A user autocovariance costs
+    per step until it is fixed, then O(p+q).  A user autocovariance costs
     O(i) at step i, O(n^2) per pass by nature, keeping only the current weights.
+    The fold scores rows (:meth:`predictive_rows`): AR(p), white noise included,
+    beyond step p from the lag filter over the series; every other spec from
+    observation 1, the means and variances of one pass read into arrays.
     """
 
     def __init__(self, spec: StationaryProcessSpec, identifier: str | None = None):
@@ -344,11 +346,14 @@ class StationaryProcessModel(PredictiveModel):
         return collections.deque(self.predictives(h), maxlen=1).pop()
 
     def predictive_rows(self, x, rule):
-        arma = self.spec.arma
-        if arma is None or arma[1] or x.size <= len(arma[0]):
+        arma, n = self.spec.arma, x.size
+        if arma is None or arma[1]:  # the pass's moments, read as floats
+            moments = np.fromiter(itertools.chain.from_iterable(itertools.islice(_moments(self.spec, x), n)), float, 2 * n)
+            return 0, GaussianPredictive, SimpleNamespace(mean=moments[0::2], variance=moments[1::2])
+        if n <= len(arma[0]):
             return None
         phis, _, variance = arma
-        p, n, mean = len(phis), x.size, self.spec.mean
+        p, mean = len(phis), self.spec.mean
         deviation = np.zeros(n - p)  # the lag filter of predictives, same order of additions
         for j, phi in enumerate(phis, start=1):
             deviation += phi * (x[p - j : n - j] - mean)

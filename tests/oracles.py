@@ -5,8 +5,9 @@ package: derivatives come from finite differences, normalizing constants
 from adaptive quadrature, conditional Gaussian moments from a dense
 Cholesky/Schur-complement computation, compensated running sums from a
 term-by-term loop, ARMA moments from the innovations algorithm without
-its steady-state shortcut, and the flat-prior models' log totals from their
-marginal likelihoods.  A shared algebra mistake between
+its steady-state shortcut, the flat-prior models' log totals from their
+marginal likelihoods, and a process model's log total from the dense
+Gaussian likelihood.  A shared algebra mistake between
 library and test would have to survive two unrelated derivations.
 """
 
@@ -14,7 +15,7 @@ import collections
 import math
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, linalg, stats
 
 from preqscore.errors import NonFiniteValue, NotPositiveDefinite
 
@@ -111,6 +112,18 @@ def flat_scale_log_total(x, mean):
 
     d = [v - mean for v in x]
     return log_marginal(d[:1]) - log_marginal(d)
+
+
+def gaussian_process_log_total(gamma, mean, x):
+    """Minus the log density of the series x under the stationary Gaussian law with
+    autocovariance ``gamma``: 1/2 n log 2 pi + sum_i log L_ii + 1/2 |L^-1 (x - mean)|^2,
+    L the Cholesky factor of the dense n-by-n Toeplitz covariance.  By the chain rule
+    (Dawid 1984) it is the log score summed over every one-step predictive."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    factor = linalg.cholesky(linalg.toeplitz([gamma(k) for k in range(n)]), lower=True)
+    z = linalg.solve_triangular(factor, x - mean, lower=True)
+    return 0.5 * n * math.log(2.0 * math.pi) + math.fsum(np.log(np.diag(factor))) + 0.5 * math.fsum(z * z)
 
 
 def simplex_grid(n_states, step=0.1):

@@ -427,6 +427,25 @@ def test_flat_location_pass_ends_in_one_predictive_for_every_order():
         assert last.mean == want, order
 
 
+def test_flat_location_predictive_at_takes_the_exact_total_where_fsum_overflows():
+    terms = [_DBL_MAX, -(2.0**970), -9e307]
+    want = float(sum(map(Fraction, terms))) / 3
+    model = flat_prior_location_model(1.0)
+    fsum_overflows = 0
+    for order in itertools.permutations(terms):
+        try:
+            math.fsum(order)
+        except OverflowError:
+            fsum_overflows += 1
+        assert model.predictive_at(order).mean == want, order
+    assert fsum_overflows == 2
+
+
+def test_flat_location_predictive_at_names_an_overflowing_total():
+    with pytest.raises(NonFiniteValue, match=r"^the sum of the 2 observations overflows$"):
+        flat_prior_location_model(1.0).predictive_at([1e308, 1e308])
+
+
 def _total(model, x, rule="log"):
     """The scores of observations 2..n under the predictives of one pass, summed by fsum."""
     steps = itertools.islice(model.predictives(x), 1, x.size)

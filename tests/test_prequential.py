@@ -2,6 +2,7 @@
 
 import dataclasses
 import io
+import itertools
 import math
 import re
 from types import SimpleNamespace
@@ -24,7 +25,10 @@ from preqscore import (
     ImproperPredictive,
     InsufficientHistory,
     NonFiniteValue,
+    NotPositiveDefinite,
     ScoreRule,
+    StationaryProcessModel,
+    StationaryProcessSpec,
     StudentTPredictive,
     TransformedModel,
     ar_process,
@@ -48,6 +52,7 @@ from preqscore import (
     stream,
     student_t_density,
     trace_csv_text,
+    white_noise,
     write_trace_csv,
 )
 from preqscore.models import IIDModel
@@ -200,6 +205,18 @@ def _first_error_or_rows(score_row):
         return type(e)
 
 
+def _tiny_examples(kinds):
+    """Explicit examples at n = 0, 1 and 2 for each kind under both rules, which the
+    search can miss: an empty series once failed in the row route alone."""
+
+    def decorate(test):
+        for kind, n, rule in itertools.product(kinds, (0, 1, 2), ("log", "hyvarinen")):
+            test = example(kind=kind, n=n, seed=0, rule=rule)(test)
+        return test
+
+    return decorate
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     kind=st.sampled_from(sorted(SCALAR_MODELS)),
@@ -207,17 +224,83 @@ def _first_error_or_rows(score_row):
     seed=st.integers(min_value=0, max_value=2**32),
     rule=st.sampled_from(["log", "hyvarinen", rescale_rule("hyvarinen", 0.3), rescale_rule("log", 7.0)]),
 )
+@_tiny_examples(["ma", "arma"])
 def test_fold_rows_equal_scalar_scores_for_every_predictive_kind(kind, n, seed, rule):
-    # Models the loop scores one predictive at a time: improper starts under
-    # the log rule must raise the same class the scalar score raises.
+    # Models beyond iid normal and AR: improper starts under the log rule
+    # must raise the same class the scalar score raises.
     model = SCALAR_MODELS[kind]()
     x = 0.2 + 1.3 * stream(seed, 0).standard_normal(n)
     fold = _first_error_or_rows(lambda: _score_matrix([model], x, rule)[1])
     scalar = _first_error_or_rows(lambda: np.reshape(_scalar_rows([model], x, rule), (1, n)))
     if isinstance(scalar, type):
         assert fold is scalar
-    else:
-        np.testing.assert_array_equal(fold, scalar)
+    else:  # strict: an error class would pass against an empty row by broadcasting
+        np.testing.assert_array_equal(fold, scalar, strict=True)
+
+
+# Process models whose every observation the fold scores as rows: MA and ARMA from
+# their innovations pass, white noise as AR(0), a user autocovariance from its
+# forward Durbin-Levinson pass, whose variances all differ.
+PROCESS_MODELS = {
+    "ma": lambda: process_model(ma_process([0.4, -0.3], 1.1, 0.2)),
+    "arma": lambda: process_model(arma_process([0.5, -0.2], [0.4], 0.9, 0.1)),
+    "white": lambda: process_model(white_noise(0.8, 0.2)),
+    "autocov": lambda: process_model(StationaryProcessSpec(0.2, lambda k: 1.2 * 0.5**k + 0.3 * (k == 0), label="autocov")),
+}
+
+
+def _pass_rows(model, x, rule):
+    """The scalar route: each predictive of one ``predictives`` pass, scored alone."""
+    return np.array([score_predictive(float(v), q, rule).value for v, q in zip(x.tolist(), model.predictives(x))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(PROCESS_MODELS)),
+    n=st.integers(min_value=0, max_value=300),
+    seed=st.integers(min_value=0, max_value=2**32),
+    rule=st.sampled_from(["log", "hyvarinen", rescale_rule("log", 0.3), rescale_rule("hyvarinen", 7.0)]),
+)
+@_tiny_examples(sorted(PROCESS_MODELS))
+def test_process_rows_equal_the_scalar_route_bitwise(kind, n, seed, rule):
+    model = PROCESS_MODELS[kind]()
+    x = 0.2 + 1.3 * stream(seed, 0).standard_normal(n)
+    rows = _score_matrix([model, A], x, rule)[1]
+    want = np.array([_pass_rows(model, x, rule), _pass_rows(A, x, rule)]).reshape(2, n)
+    np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
+
+
+def _no_items(self, x):
+    raise AssertionError("the scalar loop scored an observation")
+    yield
+
+
+@pytest.mark.parametrize("kind", sorted(PROCESS_MODELS))
+@pytest.mark.parametrize("rule", ["log", "hyvarinen"])
+def test_process_models_score_every_observation_as_rows(monkeypatch, kind, rule):
+    # A silent fallback to the scalar loop would reach the patched pass.
+    model = PROCESS_MODELS[kind]()
+    x = 0.2 + 1.3 * stream(5, 0).standard_normal(300)
+    want = _pass_rows(model, x, rule).tolist()
+    monkeypatch.setattr(StationaryProcessModel, "predictives", _no_items)
+    assert delta_trace(model, A, x, rule).scores_a.tolist() == want
+    assert delta_trace(model, A, x[:0], rule).scores_a.tolist() == []
+
+
+def test_a_process_pass_failure_is_located_in_the_scalar_visiting_order():
+    # gamma(1) > gamma(0) fails at observation 2; the failed row goes back to the
+    # loop, which meets flatscale's failure at observation 1 first.
+    bad = process_model(StationaryProcessSpec(0.0, lambda k: 1.0 if k == 0 else 2.0), identifier="bad")
+    with pytest.raises(NonFiniteValue, match=r"\(model 'flatscale\(0.0\)', observation 1\)$"):
+        select_among([bad, flat_prior_scale_model(0.0)], [0.0, 1.0, 2.0], "hyvarinen")
+    with pytest.raises(NotPositiveDefinite, match=r"\(model 'bad', observation 2\)$"):
+        select_among([bad, A], [0.5, 1.0, 2.0], "log")
+    # A user autocovariance may raise anything; the loop still meets flatscale first.
+    raising = process_model(StationaryProcessSpec(0.0, lambda k: {0: 1.0, 1: 0.3}[k]), identifier="raising")
+    with pytest.raises(NonFiniteValue, match=r"\(model 'flatscale\(0.0\)', observation 1\)$"):
+        select_among([raising, flat_prior_scale_model(0.0)], [0.0, 1.0, 2.0], "hyvarinen")
+    with pytest.raises(KeyError):
+        select_among([raising, A], [0.5, 1.0, 2.0], "log")
 
 
 def _first_item_only(pass_):
@@ -273,8 +356,8 @@ class _ArrayFieldRows(PredictiveModel):
 @pytest.mark.parametrize("law", [GaussianPredictive(0.3, 1.7), StudentTPredictive(0.3, 1.2, 4.0)], ids=["normal", "student-t"])
 @pytest.mark.parametrize("rule", ["log", "hyvarinen", rescale_rule("log", 0.3)])
 def test_rows_with_array_fields_equal_scalar_scores_bitwise(law, rule):
-    # Under log a normal row's math.log and a Student-t row's density take no array;
-    # the row fails, and every row goes back to the loop, which scores as the scalar route.
+    # Under log a normal row takes math.log once per run of equal variances; a Student-t
+    # row's density takes no array, so it fails, and every row goes back to the loop.
     model = _ArrayFieldRows(law)
     x = 0.2 + 1.3 * stream(9, 0).standard_normal(40)
     rows = _score_matrix([model, A], x, rule)[1]

@@ -36,7 +36,7 @@ from preqscore import (
 )
 from preqscore.models import PredictiveModel, StudentTPredictive, flat_prior_scale_model, iid_gaussian_model
 from preqscore.prequential import delta_trace
-from preqscore.scores import _gaussian_hyvarinen_score, _score, _student_t_hyvarinen_score
+from preqscore.scores import _gaussian_hyvarinen_score, _math_log, _score, _student_t_hyvarinen_score
 
 from oracles import fd_first, fd_second, simplex_grid
 
@@ -191,6 +191,25 @@ def test_student_t_kernels_equal_the_density_route_bitwise(rule):
         if rule is ScoreRule.HYVARINEN:
             row = _student_t_hyvarinen_score(x, SimpleNamespace(center=0.3, scale=np.full(x.size, scale), dof=np.full(x.size, dof)))
             assert row.tolist() == closed
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [0.7, 0.7, 0.9833347065534214, 0.9833347065534214, 0.9833347065534214, 1e-300, 0.7, 5.1812502545660335, 1.1222536932195177],
+        np.random.default_rng(0).uniform(0.5, 2.0, 2000).tolist(),  # every entry distinct
+        [],
+    ],
+    ids=["runs", "distinct", "empty"],
+)
+def test_log_of_a_variance_column_is_math_log_entry_by_entry(column):
+    # A run recurs after another; np.log rounds the three long constants, and
+    # about 0.5 % of the distinct column, differently from math.log (numpy 2 on x86-64).
+    got = _math_log(np.array(column, dtype=float))
+    assert got.dtype == np.float64 and got.shape == (len(column),)
+    np.testing.assert_array_equal(got.view(np.int64), np.array([math.log(v) for v in column], dtype=float).view(np.int64))
+    if column:
+        assert _math_log(column[0]) == math.log(column[0])
 
 
 def test_gaussian_hyvarinen_scales_exactly_under_a_power_of_two_unit_change():

@@ -118,3 +118,47 @@ def test_only_the_scorer_and_the_fold_import_score_kernels():
         for line, name in _kernel_imports(path.read_text())
     ]
     assert not found, f"score kernels imported outside scores.py and prequential.py: {', '.join(found)}"
+
+
+NUMPY_TRANSCENDENTALS = {"log", "log1p", "log2", "log10", "exp", "expm1", "power"}
+
+
+def _numpy_transcendentals(source: str) -> list[tuple[int, str]]:
+    """(line, name) of every ``np.<f>`` or ``numpy.<f>`` for f in :data:`NUMPY_TRANSCENDENTALS`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in NUMPY_TRANSCENDENTALS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return sorted(found)
+
+
+def test_the_transcendental_check_finds_numpy_logs_exps_and_powers():
+    source = (
+        "a = np.log(v)\nb = math.log(v) + np.sqrt(v)\nc = numpy.expm1(v)\nf = np.power\n"
+        "d = np.log1p(v) * np.exp(v)\ne = x.log(v)\ng = np.log2(np.log10(v))\n"
+    )
+    assert _numpy_transcendentals(source) == [
+        (1, "np.log"),
+        (3, "numpy.expm1"),
+        (4, "np.power"),
+        (5, "np.exp"),
+        (5, "np.log1p"),
+        (7, "np.log10"),
+        (7, "np.log2"),
+    ]
+
+
+def test_row_kernels_round_like_the_math_functions():
+    # numpy's log, exp and power round some inputs differently from math's and from
+    # libm, so a row that called them would differ in its last bits from the scalar route.
+    found = [
+        f"{path.name}:{line} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in _numpy_transcendentals(path.read_text())
+    ]
+    assert not found, f"numpy transcendental functions (take math's per entry): {', '.join(found)}"

@@ -28,7 +28,7 @@ from preqscore import (
 )
 from preqscore.stationary import Ar1MarkovModel, StationaryProcessSpec
 
-from oracles import conditional_gaussian_oracle, innovations_loop
+from oracles import conditional_gaussian_oracle, gaussian_process_log_total, innovations_loop
 
 AR_CASES = [(0.5,), (0.5, -0.3), (0.4, -0.2, 0.1)]
 
@@ -532,3 +532,27 @@ def test_steady_state_pass_equals_the_full_loop_on_random_arma(kappas, thetas, s
     x = sample_path(spec, 600, seed=seed)
     want = np.array(list(innovations_loop(spec, x))).view(np.int64)
     np.testing.assert_array_equal(_moments_bits(process_model(spec).predictives(x)), want)
+
+
+# ---------------------------------------------------------------------------
+# The chain rule: the log total is the dense Gaussian likelihood
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    phis=st.lists(st.floats(-0.5, 0.5), max_size=2),
+    thetas=st.lists(st.floats(-0.6, 0.6), max_size=2),
+    s2=st.floats(0.5, 2.0),
+    mean=st.floats(-3.0, 3.0),
+    n=st.integers(1, 300),
+    seed=st.integers(0, 2**32),
+)
+def test_process_log_total_is_minus_the_dense_log_likelihood(phis, thetas, s2, mean, n, seed):
+    # AR, MA, ARMA and white noise: the prequential log scores, row by row from the
+    # fold, add up to minus the log joint density (|phi_1| + |phi_2| < 1 keeps AR stationary).
+    spec = arma_process(phis, thetas, s2, mean)
+    x = sample_path(spec, n, seed=seed)
+    scores = delta_trace(process_model(spec), iid_gaussian_model(0.0, 1.0), x, "log").scores_a
+    want = gaussian_process_log_total(spec.gamma, mean, x)
+    assert abs(math.fsum(scores) - want) <= 1e-12 * abs(want)
