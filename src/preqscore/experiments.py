@@ -319,7 +319,10 @@ def _run(config: ExperimentConfig, experiment: Experiment, fill: Callable[[dict,
     records = []
     for r in range(config.replicates):
         rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
-        fill(rec, replicate_data(config, r))
+        try:
+            fill(rec, replicate_data(config, r))
+        except OverflowError:  # math.fsum of the score differences
+            raise NonFiniteValue(f"replicate {r}: a sum of score differences overflows") from None
         records.append(rec)
     aggregates = aggregates_for(config, records)
     return ReplicationResult(config, records, aggregates, assertions_for(config, aggregates, records))

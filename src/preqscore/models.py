@@ -12,9 +12,9 @@ Models hold no mutable state: a pass over a series is the generator
 flat-prior models one exact integer total), except that a transformed
 model keeps the pulled-back series, an O(n) array.  A pass adds the history
 exactly and rounds each sufficient statistic once, so every permutation of
-an exchangeable history yields bit-identical predictives.  ``predictive_at``
-reduces with ``math.fsum``, which is equal wherever it returns; where its
-partials overflow, depending on order, flatloc takes the exact total instead.
+an exchangeable history yields bit-identical predictives; a total that
+overflows raises :class:`NonFiniteValue`.  ``predictive_at`` is the last law
+of a pass over the history, except for flatscale and transformed models.
 ``predictive_rows`` gives the same laws as rows of one family: an iid model's law,
 and under hyvarinen arrays of normal laws for flatloc and Student-t for flatscale
 from their passes' running sums (under log their improper start raises).
@@ -22,6 +22,7 @@ from their passes' running sums (under log their improper start raises).
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from types import SimpleNamespace
@@ -49,18 +50,21 @@ __all__ = [
 
 class PredictiveModel:
     """Base class: immutable after construction.  A subclass defines ``predictive_at``,
-    and ``predictives`` too when it carries state through a series."""
+    ``predictives`` or both; the base class derives the one left out from the other."""
 
     identifier: str
 
     def predictive_at(self, history: Sequence[float]):
-        """Conditional law of observation ``len(history) + 1`` given the history."""
-        raise NotImplementedError
+        """Conditional law of observation ``len(history) + 1`` given the history: by
+        default the last law of ``predictives`` over it."""
+        if type(self).predictives is PredictiveModel.predictives:
+            raise NotImplementedError(f"{type(self).__name__} defines neither predictive_at nor predictives")
+        return collections.deque(self.predictives(_check_history(history)), maxlen=1).pop()
 
     def predictives(self, x: np.ndarray):
-        """Predictives of observations 1..n+1 of the validated series ``x``, each
-        equal to ``predictive_at`` of the observations before it; ``x[i]`` is read
-        only after the (i+1)-th is yielded.  Each call is a fresh pass."""
+        """Predictives of observations 1..n+1 of the validated series ``x``, in
+        order; ``x[i]`` is read only after the (i+1)-th is yielded.  Each call is a
+        fresh pass.  By default, ``predictive_at`` of each prefix."""
         for i in range(x.size + 1):
             yield self.predictive_at(x[:i])
 
@@ -97,7 +101,7 @@ def _prefix_fsums(terms):
     ``math.fsum`` of it wherever fsum returns.  A finite float is a whole number of
     units 2**-1074, so the total is one exact integer, rounded once by the division;
     a term is read only after the sum before it is yielded.  A +inf term makes every
-    later sum inf, and a sum that overflows raises fsum's ``OverflowError``."""
+    later sum inf, and a sum that overflows raises an unindexed :class:`NonFiniteValue`."""
     total, overflowed = 0, False
     for v in terms:
         if math.isfinite(v):
@@ -108,7 +112,7 @@ def _prefix_fsums(terms):
         try:
             s = math.inf if overflowed else total / (1 << 1074)
         except OverflowError:
-            raise OverflowError("intermediate overflow in fsum") from None
+            raise NonFiniteValue("the running sum overflows") from None
         yield s
 
 
@@ -125,10 +129,6 @@ class IIDModel(PredictiveModel):
     def __init__(self, law, identifier: str):
         self.law = law
         self.identifier = identifier
-
-    def predictive_at(self, history):
-        _check_history(history)
-        return self.law
 
     def predictives(self, x):
         return itertools.repeat(self.law, x.size + 1)
@@ -151,20 +151,6 @@ class FlatPriorLocationModel(PredictiveModel):
             raise NonPositiveVariance(f"variance must be positive, got {variance}")
         self.variance = float(variance)
         self.identifier = identifier or f"flatloc({self.variance})"
-
-    def predictive_at(self, history):
-        h = _check_history(history)
-        n = h.size
-        if n == 0:
-            return FLAT_DENSITY
-        try:
-            total = math.fsum(h)
-        except OverflowError:  # fsum's partials overflow for some orders of a sum that fits
-            try:
-                *_, total = _prefix_fsums(h.tolist())
-            except OverflowError:
-                raise NonFiniteValue(f"the sum of the {n} observations overflows") from None
-        return GaussianPredictive(total / n, self.variance * (1.0 + 1.0 / n))
 
     def predictives(self, x):
         yield FLAT_DENSITY
@@ -200,10 +186,12 @@ class FlatPriorScaleModel(PredictiveModel):
         self.identifier = identifier or f"flatscale({self.mean})"
 
     def predictive_at(self, history):
+        """The closed form: the pass stops at a prefix such as [0.0] that [0.0, 1.0] leaves behind."""
         h = _check_history(history)
         if h.size == 0:
             return self._improper_start()
-        return self._posterior(math.fsum(d * d for d in (h - self.mean).tolist()), h.size)
+        *_, ss = _prefix_fsums(d * d for d in (h - self.mean).tolist())
+        return self._posterior(ss, h.size)
 
     def predictives(self, x):
         yield self._improper_start()
@@ -271,6 +259,7 @@ class TransformedModel(PredictiveModel):
         self.identifier = identifier or f"{transform.name}:{inner.identifier}"
 
     def predictive_at(self, history) -> DensityWithDerivatives:
+        """The closed form: an inner flatscale's pass stops at a prefix a longer history leaves behind."""
         h = _check_history(history)
         pulled = np.array([self.transform.inverse(float(v)) for v in h])
         return pushforward_density(_density(self.inner.predictive_at(pulled)), self.transform)

@@ -343,7 +343,7 @@ class StationaryProcessModel(PredictiveModel):
         arma = self.spec.arma
         if arma is not None and not arma[1]:  # an AR(p) predictive depends on the last p values alone
             h = h[max(h.size - len(arma[0]), 0) :]
-        return collections.deque(self.predictives(h), maxlen=1).pop()
+        return super().predictive_at(h)
 
     def predictive_rows(self, x, rule):
         arma, n = self.spec.arma, x.size

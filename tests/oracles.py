@@ -6,13 +6,14 @@ from adaptive quadrature, conditional Gaussian moments from a dense
 Cholesky/Schur-complement computation, compensated running sums from a
 term-by-term loop, ARMA moments from the innovations algorithm without
 its steady-state shortcut, the flat-prior models' log totals from their
-marginal likelihoods, and a process model's log total from the dense
+marginal likelihoods, the flat-location predictive from an exact rational sum, and a process model's log total from the dense
 Gaussian likelihood.  A shared algebra mistake between
 library and test would have to survive two unrelated derivations.
 """
 
 import collections
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, linalg, stats
@@ -87,6 +88,19 @@ def scale_predictive_pdf(x, history, mean):
 
     value, _ = integrate.quad(integrand, 0.0, np.inf, **_QUAD)
     return value
+
+
+def iid_law(mean, variance):
+    """(mean, variance) of every predictive of the iid normal model N(mean, variance)."""
+    return float(mean), float(variance)
+
+
+def flat_location_law(history, variance):
+    """(mean, variance) of the flat-prior location predictive after n >= 1 observations:
+    N(S / n, v (1 + 1/n)), S their sum in rational arithmetic rounded once to a float.
+    Raises ``OverflowError`` where that rounded sum overflows."""
+    n = len(history)
+    return float(sum(map(Fraction, history))) / n, variance * (1.0 + 1.0 / n)
 
 
 def flat_location_log_total(x, variance):

@@ -474,6 +474,21 @@ def test_overflowing_squared_deltas_exit_two_without_warning(tmp_path, cli_env):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("experiment", ["variance-expectation", "consistency", "unit-change", "reparametrisation"])
+def test_overflowing_d_n_of_an_experiment_exits_two_without_traceback(tmp_path, cli_env, experiment):
+    # every score is finite; the sum of a replicate's score differences is not
+    argv = (experiment, "--xi", "1e157", "--tauq2", "1e-150", "--n", "50", "--reps", "2")
+    proc = subprocess.run(
+        [sys.executable, "-m", "preqscore", "experiment", *argv, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=cli_env,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: replicate 0: a sum of score differences overflows\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "spec, name",
     [("ar(0.5;inf)", "innovation_variance"), ("ma(nan;1)", "MA coefficients"), ("iidnorm(nan,1)", "mean")],

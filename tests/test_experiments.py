@@ -203,6 +203,22 @@ def test_overflowing_squared_deltas_raise_named_errors():
             aggregates_for(res.config, records)
 
 
+@pytest.mark.parametrize(
+    "runner, name",
+    [
+        (run_variance_expectation, "variance-expectation"),
+        (run_consistency, "consistency"),
+        (run_unit_change, "unit-change"),
+        (run_reparametrisation, "reparametrisation"),
+    ],
+)
+def test_an_overflowing_d_n_names_its_replicate(runner, name):
+    config = cfg(name, xi=1e157, tau_q2=1e-150, n=50, replicates=2)
+    with pytest.raises(NonFiniteValue, match=r"^replicate 0: a sum of score differences overflows$") as info:
+        runner(config)
+    assert info.value.index is None
+
+
 def test_aggregates_are_order_independent():
     res = run_variance_expectation(cfg("variance-expectation", n=200, replicates=7, base_seed=3))
     shuffled = res.records.copy()

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -34,8 +34,10 @@ from preqscore.models import PredictiveModel, StudentTPredictive, TransformedMod
 from oracles import (
     fd_first,
     fd_second,
+    flat_location_law,
     flat_location_log_total,
     flat_scale_log_total,
+    iid_law,
     location_predictive_pdf,
     scale_predictive_pdf,
 )
@@ -273,13 +275,29 @@ def test_default_fold_calls_predictive_at_on_each_prefix():
     assert list(LastValue().predictives(x)) == [LastValue().predictive_at(x[:i]) for i in range(4)]
 
 
+def test_model_with_only_predictives_gets_predictive_at():
+    class Running(PredictiveModel):
+        identifier = "running"
+
+        def predictives(self, x):
+            for i in range(x.size + 1):
+                yield GaussianPredictive(float(x[:i].sum()), 1.0)
+
+    m = Running()
+    assert m.predictive_at([]) == GaussianPredictive(0.0, 1.0)
+    assert m.predictive_at([1.0, 2.5]) == GaussianPredictive(3.5, 1.0)
+    with pytest.raises(NonFiniteValue, match="^observation 2 is nan"):
+        m.predictive_at([1.0, math.nan])
+
+
 def test_model_without_predictive_at_is_not_implemented():
     class Blank(PredictiveModel):
         identifier = "blank"
 
-    with pytest.raises(NotImplementedError):
+    message = "^Blank defines neither predictive_at nor predictives$"
+    with pytest.raises(NotImplementedError, match=message):
         Blank().predictive_at([])
-    with pytest.raises(NotImplementedError):
+    with pytest.raises(NotImplementedError, match=message):
         delta_trace(Blank(), iid_gaussian_model(0.0, 1.0), [0.1], "log")
 
 
@@ -360,14 +378,14 @@ def test_fold_equals_predictive_at_on_extreme_sums(kind, x):
 @pytest.mark.parametrize(
     "model, data, index, message",
     [
-        (flat_prior_location_model(1.0), [1e308, 1e308, 1.0], 3, "intermediate overflow in fsum"),
+        (flat_prior_location_model(1.0), [1e308, 1e308, 1.0], 3, "the running sum overflows"),
         (flat_prior_location_model(1.0), [1e308, -1e308, 1.0, 2.0], 2, "score is inf"),
         (flat_prior_scale_model(0.0), [2.0, 1e200, 2.0, 1.0], 2, "score is nan"),
         (flat_prior_scale_model(0.0), [1.0, 1e160, 2.0, 3.0], 2, "score is nan"),
     ],
 )
 def test_running_sum_failures_match_the_closed_form(model, data, index, message):
-    # The exact running sums fail where a prefix's sum overflows, with math.fsum's error.
+    # The exact running sums fail where a prefix's sum overflows, with one named error.
     with pytest.raises(NonFiniteValue, match=rf"{message}.*\(model '{re.escape(model.identifier)}', observation {index}\)$") as info:
         delta_trace(model, model, data, "hyvarinen")
     assert info.value.index == index
@@ -405,7 +423,7 @@ def test_prefix_sums_are_correctly_rounded_and_equal_fsum_wherever_it_returns(te
         try:
             exact = math.inf if math.inf in prefix else float(sum(map(Fraction, prefix)))
         except OverflowError:
-            with pytest.raises(OverflowError, match="^intermediate overflow in fsum$"):
+            with pytest.raises(NonFiniteValue, match="^the running sum overflows$"):
                 next(sums)
             return
         got = next(sums)
@@ -441,9 +459,56 @@ def test_flat_location_predictive_at_takes_the_exact_total_where_fsum_overflows(
     assert fsum_overflows == 2
 
 
+# Oracles for the kinds whose predictive_at is the last law of their own pass,
+# where comparing the two would compare the pass with itself.
+CLOSED_FORMS = {
+    "iidnorm(0.2,1.5)": lambda h: iid_law(0.2, 1.5),
+    "flatloc(0.7)": lambda h: flat_location_law(h, 0.7) if h else None,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(CLOSED_FORMS)),
+    x=st.lists(_VALUES | _WIDE_VALUES, min_size=1, max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)),
+)
+@example(kind="flatloc(0.7)", x=[1e308, 1e308, 1.0])
+@example(kind="flatloc(0.7)", x=[-(2.0**970), _DBL_MAX, -9e307])
+@example(kind="flatloc(0.7)", x=[1e8, 1e-8, -1e8, 3.0, 1e-8])
+def test_iid_and_flat_location_laws_equal_their_closed_forms_on_every_prefix_bitwise(kind, x):
+    model, closed_form = FOLD_MODELS[kind], CLOSED_FORMS[kind]
+    fold = model.predictives(np.array(x))
+    for i in range(len(x) + 1):
+        try:
+            want = closed_form(x[:i])
+        except OverflowError:
+            for compute in (lambda: next(fold), lambda: model.predictive_at(x[:i])):
+                with pytest.raises(NonFiniteValue, match="^the running sum overflows$"):
+                    compute()
+            return
+        for q in (next(fold), model.predictive_at(x[:i])):
+            if want is None:
+                assert q is FLAT_DENSITY
+            else:
+                assert (q.mean.hex(), q.variance.hex()) == tuple(v.hex() for v in want), f"predictive {i + 1}"
+
+
 def test_flat_location_predictive_at_names_an_overflowing_total():
-    with pytest.raises(NonFiniteValue, match=r"^the sum of the 2 observations overflows$"):
+    with pytest.raises(NonFiniteValue, match=r"^the running sum overflows$"):
         flat_prior_location_model(1.0).predictive_at([1e308, 1e308])
+
+
+@pytest.mark.parametrize(
+    "model, history",
+    [(flat_prior_location_model(1.0), [1e308, 1e308]), (flat_prior_scale_model(0.0), [1.3e154, 1.3e154])],
+    ids=["flatloc", "flatscale"],
+)
+def test_an_overflowing_total_is_one_named_error_in_the_pass_and_predictive_at(model, history):
+    # Unindexed, so the fold locates it at the observation it scores.
+    for compute in (lambda: model.predictive_at(history), lambda: list(model.predictives(np.array(history)))):
+        with pytest.raises(NonFiniteValue, match=r"^the running sum overflows$") as info:
+            compute()
+        assert info.value.index is None
 
 
 def _total(model, x, rule="log"):

@@ -163,7 +163,8 @@ def test_fold_errors_follow_the_scalar_visiting_order(data, model, index):
 
 
 def _scalar_rows(models, x, rule):
-    return [[score_predictive(float(x[i]), m.predictive_at(x[:i]), rule).value for i in range(x.size)] for m in models]
+    """Each model's scores from one ``predictives`` pass, each predictive scored alone."""
+    return [[score_predictive(v, q, rule).value for v, q in zip(x.tolist(), m.predictives(x))] for m in models]
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,11 +250,6 @@ PROCESS_MODELS = {
 }
 
 
-def _pass_rows(model, x, rule):
-    """The scalar route: each predictive of one ``predictives`` pass, scored alone."""
-    return np.array([score_predictive(float(v), q, rule).value for v, q in zip(x.tolist(), model.predictives(x))])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     kind=st.sampled_from(sorted(PROCESS_MODELS)),
@@ -266,7 +262,7 @@ def test_process_rows_equal_the_scalar_route_bitwise(kind, n, seed, rule):
     model = PROCESS_MODELS[kind]()
     x = 0.2 + 1.3 * stream(seed, 0).standard_normal(n)
     rows = _score_matrix([model, A], x, rule)[1]
-    want = np.array([_pass_rows(model, x, rule), _pass_rows(A, x, rule)]).reshape(2, n)
+    want = np.reshape(_scalar_rows([model, A], x, rule), (2, n))
     np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
 
 
@@ -281,7 +277,7 @@ def test_process_models_score_every_observation_as_rows(monkeypatch, kind, rule)
     # A silent fallback to the scalar loop would reach the patched pass.
     model = PROCESS_MODELS[kind]()
     x = 0.2 + 1.3 * stream(5, 0).standard_normal(300)
-    want = _pass_rows(model, x, rule).tolist()
+    want = _scalar_rows([model], x, rule)[0]
     monkeypatch.setattr(StationaryProcessModel, "predictives", _no_items)
     assert delta_trace(model, A, x, rule).scores_a.tolist() == want
     assert delta_trace(model, A, x[:0], rule).scores_a.tolist() == []

@@ -162,3 +162,56 @@ def test_row_kernels_round_like_the_math_functions():
         for line, name in _numpy_transcendentals(path.read_text())
     ]
     assert not found, f"numpy transcendental functions (take math's per entry): {', '.join(found)}"
+
+
+def _fsum_calls(source: str) -> list[int]:
+    """Lines that call ``math.fsum``, or ``fsum`` by a bare name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and f.attr == "fsum") or (isinstance(f, ast.Name) and f.id == "fsum"):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def _classes_defining(source: str, method: str) -> list[str]:
+    """Names of the classes whose own body defines ``method``."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(isinstance(f, ast.FunctionDef) and f.name == method for f in node.body)
+    )
+
+
+def test_the_fsum_and_predictive_at_checks_find_them():
+    source = (
+        "import math\nfrom math import fsum\na = math.fsum(v)\nb = fsum(v)\nc = math.fsum\n"
+        "class A(PredictiveModel):\n    def predictive_at(self, h):\n        return fsum(h)\n"
+        "class B(A):\n    def predictives(self, x):\n        def predictive_at(h):\n            pass\n"
+    )
+    assert _fsum_calls(source) == [3, 4, 8]
+    assert _classes_defining(source, "predictive_at") == ["A"]
+
+
+def test_models_add_up_a_history_one_way():
+    # The flat priors total a history with _prefix_fsums, exact and correctly rounded; fsum's
+    # partials overflow on some orders of a sum that fits and raise a bare OverflowError.
+    found = _fsum_calls((SRC / "models.py").read_text())
+    assert not found, f"math.fsum called in models.py at lines {found}"
+
+
+# The kinds whose predictive_at is not the last law of their own pass: flatscale's and a
+# transformed model's pass stops at a prefix such as [0.0] that [0.0, 1.0] leaves behind,
+# and an AR(p) predictive_at trims the history to its last p values before the pass.
+OWN_PREDICTIVE_AT = {"PredictiveModel", "FlatPriorScaleModel", "TransformedModel", "StationaryProcessModel"}
+
+
+def test_other_kinds_take_predictive_at_from_their_pass():
+    found = [
+        f"{path.name} {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in _classes_defining(path.read_text(), "predictive_at")
+        if name not in OWN_PREDICTIVE_AT
+    ]
+    assert not found, f"predictive_at defined beside the pass (let the base class take its last law): {', '.join(found)}"

@@ -541,7 +541,7 @@ def test_steady_state_pass_equals_the_full_loop_on_random_arma(kappas, thetas, s
 
 @settings(max_examples=30, deadline=None)
 @given(
-    phis=st.lists(st.floats(-0.5, 0.5), max_size=2),
+    phis=st.lists(st.floats(-0.49, 0.49), max_size=2),
     thetas=st.lists(st.floats(-0.6, 0.6), max_size=2),
     s2=st.floats(0.5, 2.0),
     mean=st.floats(-3.0, 3.0),
@@ -550,7 +550,8 @@ def test_steady_state_pass_equals_the_full_loop_on_random_arma(kappas, thetas, s
 )
 def test_process_log_total_is_minus_the_dense_log_likelihood(phis, thetas, s2, mean, n, seed):
     # AR, MA, ARMA and white noise: the prequential log scores, row by row from the
-    # fold, add up to minus the log joint density (|phi_1| + |phi_2| < 1 keeps AR stationary).
+    # fold, add up to minus the log joint density (|phi_1| + |phi_2| <= 0.98 keeps AR stationary;
+    # [0.5, 0.5] has a unit root and rightly raises NonStationary).
     spec = arma_process(phis, thetas, s2, mean)
     x = sample_path(spec, n, seed=seed)
     scores = delta_trace(process_model(spec), iid_gaussian_model(0.0, 1.0), x, "log").scores_a
