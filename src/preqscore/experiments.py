@@ -23,6 +23,7 @@ share one path from data to D_n and its non-finite guard.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Callable, Sequence
@@ -113,8 +114,10 @@ class ExperimentConfig:
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         if not (isinstance(self.replicates, int) and self.replicates >= 1):
             raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError(f"base_seed must lie in [0, 2**64), got {self.base_seed!r}")
+        seed = operator.index(self.base_seed) if hasattr(self.base_seed, "__index__") else -1  # a Python int
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
+        object.__setattr__(self, "base_seed", seed)
         if not self.xi > 0:
             raise ValueError(f"xi must be > 0, got {self.xi}")
         if not self.tau_q2 > 0:

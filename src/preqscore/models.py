@@ -7,14 +7,14 @@ priors.  The latter are the interesting case: their early predictives are
 improper, which breaks the log score but not gradient-based scoring.
 
 Predictives are full Bayesian (parameters integrated out), not plug-in.
-Models hold no mutable state: a pass over a series is the generator
+Models hold no mutable state: a pass over a series is the iterator
 ``predictives``, O(n) for every built-in kind.  It carries O(1) state (the
 flat-prior models one exact integer total), except that a transformed
 model keeps the pulled-back series, an O(n) array.  A pass adds the history
 exactly and rounds each sufficient statistic once, so every permutation of
 an exchangeable history yields bit-identical predictives; a total that
 overflows raises :class:`NonFiniteValue`.  ``predictive_at`` is the last law
-of a pass over the history, except for flatscale and transformed models.
+of a pass over the history; only an AR(p) model trims the history first.
 ``predictive_rows`` gives the same laws as rows of one family: an iid model's law,
 and under hyvarinen arrays of normal laws for flatloc and Student-t for flatscale
 from their passes' running sums (under log their improper start raises).
@@ -168,16 +168,16 @@ class FlatPriorLocationModel(PredictiveModel):
 class FlatPriorScaleModel(PredictiveModel):
     """Normal model with known mean and prior density 1/v on the variance.
 
-    After n >= 1 observations the posterior for the variance is proper
-    (provided the squared deviations are not all zero) and the predictive is
+    After n observations whose squared deviations from the known mean are not
+    all zero, the posterior for the variance is proper and the predictive is
     Student-t with ``dof = n`` centered at the known mean with scale
     sqrt(mean squared deviation).
 
-    With no data the predictive is the improper density proportional to
-    1/|x - mean|.  Its log density is C2 away from the known mean, a set the
-    data hits with probability zero, so it is declared smooth and can be
-    scored by the gradient-based rule (score 3/(x - mean)^2); a log score
-    request raises :class:`InsufficientHistory`.
+    Otherwise, with no data in particular, the predictive is the improper
+    density proportional to 1/|x - mean|^(n+1).  Its log density is C2 away
+    from the known mean, a set the data hits with probability zero, so it is
+    declared smooth and can be scored by the gradient-based rule (score
+    (n+1)(n+3)/(x - mean)^2); a log score request raises :class:`InsufficientHistory`.
     """
 
     def __init__(self, mean: float, identifier: str | None = None):
@@ -185,19 +185,9 @@ class FlatPriorScaleModel(PredictiveModel):
         self.mean = float(mean)
         self.identifier = identifier or f"flatscale({self.mean})"
 
-    def predictive_at(self, history):
-        """The closed form: the pass stops at a prefix such as [0.0] that [0.0, 1.0] leaves behind."""
-        h = _check_history(history)
-        if h.size == 0:
-            return self._improper_start()
-        *_, ss = _prefix_fsums(d * d for d in (h - self.mean).tolist())
-        return self._posterior(ss, h.size)
-
     def predictives(self, x):
-        yield self._improper_start()
-        deviations = (float(v) - self.mean for v in x)  # squared by a product, as in predictive_at
-        for n, ss in enumerate(_prefix_fsums(d * d for d in deviations), start=1):
-            yield self._posterior(ss, n)
+        squares = (d * d for d in (float(v) - self.mean for v in x))  # each a product, as np.square in the rows
+        return itertools.starmap(self._law, enumerate(itertools.chain([0.0], _prefix_fsums(squares))))
 
     def predictive_rows(self, x, rule):
         if rule is not ScoreRule.HYVARINEN or x.size < 2:
@@ -206,24 +196,20 @@ class FlatPriorScaleModel(PredictiveModel):
         n = np.arange(1.0, x.size)  # a zero ss scores NaN, so the loop scores and raises as before
         return 1, StudentTPredictive, SimpleNamespace(center=self.mean, scale=np.sqrt(ss / n), dof=n)
 
-    def _improper_start(self) -> DensityWithDerivatives:
-        mean = self.mean
+    def _law(self, n: int, ss: float):
+        """Predictive after ``n`` observations whose squared deviations sum to ``ss``: where ``ss`` is 0
+        the posterior, proportional to v^(-n/2-1), is improper, and so is this law, 1/|x - mean|^(n+1)."""
+        if ss != 0.0:
+            return StudentTPredictive(center=self.mean, scale=math.sqrt(ss / n), dof=float(n))
+        mean, k = self.mean, n + 1.0
         return DensityWithDerivatives(
-            logpdf=lambda x: -math.log(abs(x - mean)),
-            dlogpdf=lambda x: -1.0 / (x - mean),
-            d2logpdf=lambda x: 1.0 / ((x - mean) * (x - mean)),
+            logpdf=lambda x: -k * math.log(abs(x - mean)),
+            dlogpdf=lambda x: -k / (x - mean),
+            d2logpdf=lambda x: k / ((x - mean) * (x - mean)),
             proper=False,
             smooth=True,
             improper_error=InsufficientHistory,
         )
-
-    def _posterior(self, ss: float, n: int) -> StudentTPredictive:
-        """Predictive after ``n`` observations whose squared deviations sum to ``ss``."""
-        if ss == 0.0:
-            raise InsufficientHistory(
-                "all observations equal the known mean; the posterior for the variance is improper"
-            )
-        return StudentTPredictive(center=self.mean, scale=math.sqrt(ss / n), dof=float(n))
 
 
 def iid_gaussian_model(mean: float, variance: float, identifier: str | None = None) -> PredictiveModel:
@@ -250,19 +236,14 @@ class TransformedModel(PredictiveModel):
     inner model forms its predictive; that predictive is then pushed forward
     with the Jacobian correction.  A pass pulls each observation back once
     and runs the inner model's pass over the pulled-back series, so it costs
-    what the inner pass costs plus one pushforward per step.
+    what the inner pass costs plus one pushforward per step; ``predictive_at``
+    is its last law, proper or not as the inner law is.
     """
 
     def __init__(self, inner: PredictiveModel, transform: MonotoneTransform, identifier: str | None = None):
         self.inner = inner
         self.transform = transform
         self.identifier = identifier or f"{transform.name}:{inner.identifier}"
-
-    def predictive_at(self, history) -> DensityWithDerivatives:
-        """The closed form: an inner flatscale's pass stops at a prefix a longer history leaves behind."""
-        h = _check_history(history)
-        pulled = np.array([self.transform.inverse(float(v)) for v in h])
-        return pushforward_density(_density(self.inner.predictive_at(pulled)), self.transform)
 
     def predictives(self, x):
         pulled = np.empty(x.size)

@@ -246,10 +246,12 @@ def select_among(models: Sequence[PredictiveModel], data, rule) -> str:
     if len(models) < 2:
         raise ValueError(f"need at least 2 models, got {len(models)}")
     x, scores, _ = _score_matrix(models, data, rule)
+    if not x.size:
+        raise EmptyTrace("no observations to select on")
     totals = []
     for model, row in zip(models, scores):
         try:
-            totals.append(float(compensated_cumsum(row)[-1]) if x.size else 0.0)
+            totals.append(float(compensated_cumsum(row)[-1]))
         except NonFiniteValue as e:
             raise _located(e, model, e.index - 1) from e
     return models[_argmin(totals)].identifier

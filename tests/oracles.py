@@ -6,9 +6,11 @@ from adaptive quadrature, conditional Gaussian moments from a dense
 Cholesky/Schur-complement computation, compensated running sums from a
 term-by-term loop, ARMA moments from the innovations algorithm without
 its steady-state shortcut, the flat-prior models' log totals from their
-marginal likelihoods, the flat-location predictive from an exact rational sum, and a process model's log total from the dense
-Gaussian likelihood.  A shared algebra mistake between
-library and test would have to survive two unrelated derivations.
+marginal likelihoods, the flat-prior predictives from exact rational sums,
+a transformed model's log total from its inner model's by the change of
+variables, and a process model's log total from the dense Gaussian
+likelihood.  A shared algebra mistake between library and test would have
+to survive two unrelated derivations.
 """
 
 import collections
@@ -101,6 +103,36 @@ def flat_location_law(history, variance):
     Raises ``OverflowError`` where that rounded sum overflows."""
     n = len(history)
     return float(sum(map(Fraction, history))) / n, variance * (1.0 + 1.0 / n)
+
+
+# The improper law proportional to 1/|x - center|^exponent.
+ImproperPower = collections.namedtuple("ImproperPower", "center exponent")
+
+
+def flat_scale_law(history, mean):
+    """(center, scale, dof) of the known-mean predictive under the prior 1/v after n
+    observations: Student-t(mean, sqrt(SS / n), n), SS the sum of the squared deviations,
+    each rounded to a float as a product of float differences, summed in rational
+    arithmetic and rounded once.  Where SS is 0, with no history in particular, the
+    posterior v^(-n/2-1) is improper and so is the predictive, ImproperPower(mean, n + 1).
+    An infinite square makes SS inf; a finite SS that overflows raises ``OverflowError``."""
+    squares = [(v - mean) * (v - mean) for v in map(float, history)]
+    ss = math.inf if math.inf in squares else float(sum(map(Fraction, squares)))
+    n = len(squares)
+    return ImproperPower(float(mean), n + 1.0) if ss == 0 else (float(mean), math.sqrt(ss / n), float(n))
+
+
+def normal_log_total(x, mean, variance):
+    """Log score of the normal law N(mean, variance) summed over the observations x."""
+    return math.fsum(0.5 * math.log(2.0 * math.pi * variance) + (v - mean) ** 2 / (2.0 * variance) for v in x)
+
+
+def transformed_log_total(inner_log_total, transform, y):
+    """Log score of a model for y = g(x) summed over observations 2..n: the inner model's
+    total ``inner_log_total`` on the pulled-back series x plus sum_{i >= 2} log g'(x_i),
+    since the density of y_i is the density of x_i divided by g'(x_i)."""
+    x = [transform.inverse(float(v)) for v in y]
+    return inner_log_total(x) + math.fsum(math.log(transform.dg(v)) for v in x[1:])
 
 
 def flat_location_log_total(x, variance):

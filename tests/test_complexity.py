@@ -39,7 +39,7 @@ KINDS = {
     "ma": (("ma(0.4;1)", "iidnorm(0,1)"), ("log", "hyvarinen"), 4),
     "arma": (("arma(0.5;0.4;1)", "iidnorm(0,1)"), ("log", "hyvarinen"), 4),
     # the improper start of flatscale rules out the log rule
-    "cubic-transformed": (("iidnorm(0,1)", "flatscale(0)"), ("hyvarinen",), 93),
+    "cubic-transformed": (("iidnorm(0,1)", "flatscale(0)"), ("hyvarinen",), 92),
 }
 
 

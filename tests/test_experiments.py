@@ -1,5 +1,6 @@
 """Experiment harness checks: determinism, order independence, dual-route scoring."""
 
+import json
 import math
 import random
 
@@ -69,6 +70,7 @@ def test_config_accepts_experiment_names():
         dict(min_frequency=1.5),
         dict(base_seed=-1),
         dict(base_seed=2**64),
+        dict(base_seed=1.5),
         dict(xi=1e300),
         dict(xi=1e-300),
         dict(tau_q2=1e160),
@@ -113,6 +115,12 @@ def test_config_to_dict_is_json_safe():
     assert d["experiment"] == "consistency"
     assert d["n_grid"] == [5, 10]
     assert isinstance(d["xi"], float)
+
+
+def test_config_stores_a_numpy_seed_as_an_int():
+    config = cfg("consistency", base_seed=np.int64(3))
+    assert type(config.base_seed) is int
+    assert json.loads(json.dumps(config.to_dict()))["base_seed"] == 3
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from scipy import stats
 
 from preqscore import (
     FLAT_DENSITY,
+    DensityWithDerivatives,
     GaussianPredictive,
     ImproperPredictive,
     InsufficientHistory,
@@ -27,19 +28,24 @@ from preqscore import (
     flat_prior_location_model,
     flat_prior_scale_model,
     iid_gaussian_model,
+    pushforward_density,
     score_predictive,
 )
 from preqscore.models import PredictiveModel, StudentTPredictive, TransformedModel, _prefix_fsums
 
 from oracles import (
+    ImproperPower,
     fd_first,
     fd_second,
     flat_location_law,
     flat_location_log_total,
+    flat_scale_law,
     flat_scale_log_total,
     iid_law,
     location_predictive_pdf,
+    normal_log_total,
     scale_predictive_pdf,
+    transformed_log_total,
 )
 
 
@@ -164,9 +170,28 @@ def test_scale_model_empty_history_density():
         score_predictive(3.0, q, "log")
 
 
+def _assert_improper_scale_law(mean, history):
+    # Squared deviations that sum to 0 leave the posterior v^(-n/2-1) improper; the predictive
+    # is then the improper law proportional to 1/|x - mean|^(n+1), by predictive_at and the pass.
+    model, n = flat_prior_scale_model(mean), len(history)
+    q = model.predictive_at(history)
+    assert not q.proper
+    assert q.smooth
+    assert q.improper_error is InsufficientHistory
+    *_, last = model.predictives(np.array(history))
+    for x in [mean - 0.7, mean + 2.5, mean + 4.0]:
+        assert _bits(last, x) == _bits(q, x)
+        assert q.dlogpdf(x) == pytest.approx(fd_first(q.logpdf, x), rel=1e-6)
+        assert q.d2logpdf(x) == pytest.approx(fd_second(q.logpdf, x), rel=1e-4)
+        want = (n + 1) * (n + 3) / ((x - mean) * (x - mean))
+        assert score_predictive(x, q, "hyvarinen").value == pytest.approx(want, rel=1e-14)
+        with pytest.raises(InsufficientHistory):
+            score_predictive(x, q, "log")
+
+
 def test_scale_model_degenerate_history_raises():
-    with pytest.raises(InsufficientHistory):
-        flat_prior_scale_model(2.0).predictive_at([2.0, 2.0])
+    # Every observation equals the known mean: a law, improper, whose log score raises.
+    _assert_improper_scale_law(2.0, [2.0, 2.0])
 
 
 def test_scale_model_predictive_is_student_t():
@@ -257,6 +282,8 @@ def test_flat_scale_predictives_after_a_zero_then_a_nonzero_observation():
     q = flat_prior_scale_model(0.0).predictive_at([0.0, 1.0])
     assert isinstance(q, StudentTPredictive) and q.dof == 2.0
     assert TransformedModel(flat_prior_scale_model(0.0), cubic_plus_linear_transform()).predictive_at([0.0, 2.0]).proper
+    for kind in ("flatscale(0.0)", "cubic_plus_linear:flatscale(0.0)", "affine(2.5,-1.0):flatscale(0.0)"):
+        _assert_laws_equal_closed_form(kind, [0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +349,7 @@ def _bits(q, y: float):
         return (q.mean.hex(), q.variance.hex())
     if isinstance(q, StudentTPredictive):
         return (q.center.hex(), q.scale.hex(), q.dof.hex())
-    out = [q.proper, q.smooth]
+    out = [q.proper, q.smooth, q.improper_error]
     for f in (q.dlogpdf, q.d2logpdf):
         try:
             out.append(float(f(y)).hex())
@@ -331,17 +358,64 @@ def _bits(q, y: float):
     return tuple(out)
 
 
-def _assert_fold_equals_prefixes(model, x):
-    fold = model.predictives(x)
-    for i in range(x.size + 1):
-        y = float(x[i]) if i < x.size else 0.5
+def _predictive(law):
+    """The predictive of an oracle's law: None is the flat start, a pair a normal law, a
+    triple a Student-t, and an ImproperPower the law proportional to 1/|x - center|^k."""
+    if law is None:
+        return FLAT_DENSITY
+    if isinstance(law, ImproperPower):
+        c, k = law
+        return DensityWithDerivatives(
+            logpdf=lambda x: -k * math.log(abs(x - c)),
+            dlogpdf=lambda x: -k / (x - c),
+            d2logpdf=lambda x: k / ((x - c) * (x - c)),
+            proper=False,
+            improper_error=InsufficientHistory,
+        )
+    return GaussianPredictive(*law) if len(law) == 2 else StudentTPredictive(*law)
+
+
+# Every kind's predictive_at is the last law of its own pass, so each is checked against a
+# closed form instead: an inner kind's law from tests/oracles.py, and a transformed kind's
+# the pushforward of its inner kind's at the pulled-back history.
+_INNER_LAWS = {
+    "iidnorm(0.2,1.5)": lambda h: iid_law(0.2, 1.5),
+    "flatloc(0.7)": lambda h: flat_location_law(h, 0.7) if h else None,
+    "flatscale(0.0)": lambda h: flat_scale_law(h, 0.0),
+}
+CLOSED_FORMS = {
+    **{kind: lambda h, law=law: _predictive(law(h)) for kind, law in _INNER_LAWS.items()},
+    **{
+        f"{t.name}:{kind}": lambda h, law=law, t=t: pushforward_density(
+            _predictive(law([t.inverse(v) for v in h])).density(), t
+        )
+        for kind, law in _INNER_LAWS.items()
+        for t in (CUBIC, AFFINE)
+    },
+}
+
+
+def _assert_laws_equal_closed_form(kind, x):
+    """One pass over ``x`` and ``predictive_at`` of each prefix give the kind's closed form
+    bit for bit, or fail as it does: a total that overflows, or a law that cannot be built."""
+    model, closed_form = FOLD_MODELS[kind], CLOSED_FORMS[kind]
+    fold = model.predictives(np.array(x, dtype=float))
+    for i in range(len(x) + 1):
+        y = float(x[i]) if i < len(x) else 0.5
         try:
-            want = model.predictive_at(x[:i])
-        except (PreqscoreError, ArithmeticError) as e:
-            with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
-                next(fold)
-            return
-        assert _bits(next(fold), y) == _bits(want, y), f"predictive {i + 1}"
+            want = closed_form(x[:i])
+        except OverflowError:
+            error, message = NonFiniteValue, "^the running sum overflows$"
+        except PreqscoreError as e:
+            error, message = type(e), f"^{re.escape(str(e))}$"
+        else:
+            for q in (next(fold), model.predictive_at(x[:i])):
+                assert _bits(q, y) == _bits(want, y), f"predictive {i + 1}"
+            continue
+        for compute in (lambda: next(fold), lambda: model.predictive_at(x[:i])):
+            with pytest.raises(error, match=message):
+                compute()
+        return
 
 
 _MAGNITUDES = st.floats(min_value=1e-8, max_value=1e8)
@@ -355,8 +429,8 @@ _VALUES = st.just(0.0) | _MAGNITUDES | _MAGNITUDES.map(lambda v: -v)
 )
 def test_fold_equals_predictive_at_on_every_prefix_bitwise(kind, x):
     # Values repeat and include exact zeros; magnitudes span 1e-8 to 1e8, so
-    # fsum's partials in predictive_at hold several floats.
-    _assert_fold_equals_prefixes(FOLD_MODELS[kind], np.array(x))
+    # the exact totals hold more than one float's precision.
+    _assert_laws_equal_closed_form(kind, x)
 
 
 @pytest.mark.parametrize("kind", ["flatloc(0.7)", "flatscale(0.0)"])
@@ -371,8 +445,7 @@ def test_fold_equals_predictive_at_on_every_prefix_bitwise(kind, x):
     ],
 )
 def test_fold_equals_predictive_at_on_extreme_sums(kind, x):
-    with np.errstate(over="ignore"):
-        _assert_fold_equals_prefixes(FOLD_MODELS[kind], np.array(x))
+    _assert_laws_equal_closed_form(kind, x)
 
 
 @pytest.mark.parametrize(
@@ -397,13 +470,13 @@ _WIDE_VALUES = st.just(0.0) | _WIDE | _WIDE.map(lambda v: -v)
 
 @settings(max_examples=120, deadline=None)
 @given(
-    kind=st.sampled_from(["flatloc(0.7)", "flatscale(0.0)"]),
+    kind=st.sampled_from(sorted(kind for kind in FOLD_MODELS if "flat" in kind)),
     x=st.lists(_WIDE_VALUES, min_size=1, max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)),
 )
 def test_fold_equals_predictive_at_on_every_prefix_bitwise_over_wide_exponents(kind, x):
     # Magnitudes span 1e-300 to 1e150: the exact totals meet wide exponent gaps
-    # and squares that underflow, while every sum stays finite, so fsum never raises.
-    _assert_fold_equals_prefixes(FOLD_MODELS[kind], np.array(x))
+    # and squares that underflow, while every sum stays finite.
+    _assert_laws_equal_closed_form(kind, x)
 
 
 _DBL_MAX = sys.float_info.max
@@ -459,38 +532,30 @@ def test_flat_location_predictive_at_takes_the_exact_total_where_fsum_overflows(
     assert fsum_overflows == 2
 
 
-# Oracles for the kinds whose predictive_at is the last law of their own pass,
-# where comparing the two would compare the pass with itself.
-CLOSED_FORMS = {
-    "iidnorm(0.2,1.5)": lambda h: iid_law(0.2, 1.5),
-    "flatloc(0.7)": lambda h: flat_location_law(h, 0.7) if h else None,
-}
+_PROPERTY_VALUES = st.lists(_VALUES | _WIDE_VALUES, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=20)
+)
 
 
 @settings(max_examples=120, deadline=None)
-@given(
-    kind=st.sampled_from(sorted(CLOSED_FORMS)),
-    x=st.lists(_VALUES | _WIDE_VALUES, min_size=1, max_size=6).flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=20)),
-)
+@given(kind=st.sampled_from(["iidnorm(0.2,1.5)", "flatloc(0.7)"]), x=_PROPERTY_VALUES)
 @example(kind="flatloc(0.7)", x=[1e308, 1e308, 1.0])
 @example(kind="flatloc(0.7)", x=[-(2.0**970), _DBL_MAX, -9e307])
 @example(kind="flatloc(0.7)", x=[1e8, 1e-8, -1e8, 3.0, 1e-8])
 def test_iid_and_flat_location_laws_equal_their_closed_forms_on_every_prefix_bitwise(kind, x):
-    model, closed_form = FOLD_MODELS[kind], CLOSED_FORMS[kind]
-    fold = model.predictives(np.array(x))
-    for i in range(len(x) + 1):
-        try:
-            want = closed_form(x[:i])
-        except OverflowError:
-            for compute in (lambda: next(fold), lambda: model.predictive_at(x[:i])):
-                with pytest.raises(NonFiniteValue, match="^the running sum overflows$"):
-                    compute()
-            return
-        for q in (next(fold), model.predictive_at(x[:i])):
-            if want is None:
-                assert q is FLAT_DENSITY
-            else:
-                assert (q.mean.hex(), q.variance.hex()) == tuple(v.hex() for v in want), f"predictive {i + 1}"
+    _assert_laws_equal_closed_form(kind, x)
+
+
+@settings(max_examples=120, deadline=None)
+@given(kind=st.sampled_from(sorted(set(FOLD_MODELS) - {"iidnorm(0.2,1.5)", "flatloc(0.7)"})), x=_PROPERTY_VALUES)
+@example(kind="flatscale(0.0)", x=[0.0, 1.0])
+@example(kind="flatscale(0.0)", x=[0.0, 0.0, 1e-200, 2.0])
+@example(kind="flatscale(0.0)", x=[1.3e154, 1.3e154])
+@example(kind="flatscale(0.0)", x=[1e154, 1e200, 1e154])
+@example(kind="cubic_plus_linear:flatscale(0.0)", x=[0.0, 2.0])
+@example(kind="affine(2.5,-1.0):flatscale(0.0)", x=[-1.0, -1.0, 4.0])
+def test_flat_scale_and_transformed_laws_equal_their_closed_forms_on_every_prefix_bitwise(kind, x):
+    _assert_laws_equal_closed_form(kind, x)
 
 
 def test_flat_location_predictive_at_names_an_overflowing_total():
@@ -548,6 +613,38 @@ def test_flat_scale_log_total_is_the_marginal_likelihood_and_order_free(x, mean)
     assert math.isclose(_total(m, shuffled), total, rel_tol=1e-12, abs_tol=1e-12)
 
 
+# Each inner kind's log total over observations 2..n, in closed form.
+INNER_LOG_TOTALS = {
+    "iidnorm(0.2,1.5)": lambda x: normal_log_total(x[1:], 0.2, 1.5),
+    "flatloc(0.7)": lambda x: flat_location_log_total(x, 0.7),
+    "flatscale(0.0)": lambda x: flat_scale_log_total(x, 0.0),
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=_NORMAL_DATA, inner=st.sampled_from(sorted(INNER_LOG_TOTALS)), transform=st.sampled_from([CUBIC, AFFINE]))
+def test_transformed_log_total_is_the_inner_total_plus_the_jacobian_terms(x, inner, transform):
+    # The chain rule under y = g(x): each log score gains log g'(x_i) over the inner model's
+    # score of the pulled-back observation.
+    y = np.array([transform.g(v) for v in x.tolist()])
+    model = FOLD_MODELS[f"{transform.name}:{inner}"]
+    want = transformed_log_total(INNER_LOG_TOTALS[inner], transform, y)
+    assert math.isclose(_total(model, y), want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    x=_NORMAL_DATA,
+    kind=st.sampled_from([f"{t.name}:{k}" for t in (CUBIC, AFFINE) for k in ("flatloc(0.7)", "flatscale(0.0)")]),
+)
+def test_transformed_flat_prior_log_totals_are_free_of_the_order_after_the_first_observation(x, kind):
+    # x_1's Jacobian term is never scored, so only observations 2..n are permuted.
+    model = FOLD_MODELS[kind]
+    y = np.array([model.transform.g(v) for v in x.tolist()])
+    shuffled = np.concatenate([y[:1], np.random.default_rng(1).permutation(y[1:])])
+    assert math.isclose(_total(model, shuffled), _total(model, y), rel_tol=1e-12, abs_tol=1e-12)
+
+
 def test_flat_location_hyvarinen_total_depends_on_the_order():
     # The log total is minus the log of a joint density, so reversing the data
     # leaves it; the Hyvarinen score has no such identity and moves.
@@ -558,14 +655,7 @@ def test_flat_location_hyvarinen_total_depends_on_the_order():
 
 
 def test_underflowing_squared_deviations_leave_the_scale_posterior_improper():
-    m = flat_prior_scale_model(0.0)
-    message = "^all observations equal the known mean; the posterior for the variance is improper$"
-    with pytest.raises(InsufficientHistory, match=message):
-        m.predictive_at([1e-200])
-    fold = m.predictives(np.array([1e-200]))
-    next(fold)
-    with pytest.raises(InsufficientHistory, match=message):
-        next(fold)
+    _assert_improper_scale_law(0.0, [1e-200])
 
 
 def test_non_finite_pull_back_is_rejected_like_a_non_finite_observation():
@@ -604,7 +694,6 @@ def _raise(history):
     "build",
     [
         lambda: flat_prior_location_model(1.0),
-        # its first, improper predictive is built by the pass itself, not by predictive_at
         lambda: flat_prior_scale_model(0.0),
         lambda: iid_gaussian_model(0.3, 1.2),
         lambda: TransformedModel(iid_gaussian_model(0.3, 1.2), CUBIC),

@@ -120,6 +120,14 @@ def test_empty_trace_raises_on_final_and_select():
         select(t)
 
 
+def test_select_among_raises_on_an_empty_series():
+    # An empty series selects nothing, as select does on an empty trace; the data are validated first.
+    with pytest.raises(EmptyTrace, match="^no observations to select on$"):
+        select_among([A, B], [], "log")
+    with pytest.raises(ValueError, match="one-dimensional"):
+        select_among([A, B], [[]], "log")
+
+
 def test_data_must_be_one_dimensional():
     with pytest.raises(ValueError):
         delta_trace(A, B, [[1.0], [2.0]], "log")

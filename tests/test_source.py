@@ -201,10 +201,9 @@ def test_models_add_up_a_history_one_way():
     assert not found, f"math.fsum called in models.py at lines {found}"
 
 
-# The kinds whose predictive_at is not the last law of their own pass: flatscale's and a
-# transformed model's pass stops at a prefix such as [0.0] that [0.0, 1.0] leaves behind,
-# and an AR(p) predictive_at trims the history to its last p values before the pass.
-OWN_PREDICTIVE_AT = {"PredictiveModel", "FlatPriorScaleModel", "TransformedModel", "StationaryProcessModel"}
+# The kinds whose predictive_at is not the last law of their own pass over the whole
+# history: an AR(p) predictive_at trims the history to its last p values before the pass.
+OWN_PREDICTIVE_AT = {"PredictiveModel", "StationaryProcessModel"}
 
 
 def test_other_kinds_take_predictive_at_from_their_pass():
