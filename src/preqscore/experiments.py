@@ -33,7 +33,7 @@ import numpy as np
 from .densities import MonotoneTransform, cubic_plus_linear_transform, pushforward_density
 from .errors import IndexOutOfRange, NonFiniteValue, NonPositiveScale
 from .models import IIDModel, PredictiveModel, iid_gaussian_model
-from .prequential import TIE, DeltaTrace, _argmin, _choose, _score_matrix, delta_trace
+from .prequential import TIE, DeltaTrace, _argmin, _choose, _score_matrix, _total, delta_trace
 from .scores import ScoreRule
 from .stationary import Ar1MarkovModel, StationaryProcessModel, sample_path
 from .streams import stream
@@ -322,10 +322,7 @@ def _run(config: ExperimentConfig, experiment: Experiment, fill: Callable[[dict,
     records = []
     for r in range(config.replicates):
         rec = {"replicate": r, "seed": config.base_seed, "n": config.n}
-        try:
-            fill(rec, replicate_data(config, r))
-        except OverflowError:  # math.fsum of the score differences
-            raise NonFiniteValue(f"replicate {r}: a sum of score differences overflows") from None
+        fill(rec, replicate_data(config, r))
         records.append(rec)
     aggregates = aggregates_for(config, records)
     return ReplicationResult(config, records, aggregates, assertions_for(config, aggregates, records))
@@ -337,9 +334,17 @@ def _per_step(pair: Sequence[PredictiveModel], x: np.ndarray, rule: str) -> np.n
     return score_b - score_a
 
 
+def _d_n(rec: dict, delta: np.ndarray) -> float:
+    """D_n, the sum of ``delta`` as a trace totals it; an overflow names the record's replicate."""
+    try:
+        return _total(delta)
+    except NonFiniteValue:
+        raise NonFiniteValue(f"replicate {rec['replicate']}: a sum of score differences overflows") from None
+
+
 def _decide(rec: dict, key: str, delta: np.ndarray, config: ExperimentConfig, pair: Sequence[PredictiveModel]) -> str:
-    """Record D_n, the fsum of ``delta``, and the model it selects, under ``key``."""
-    d_n = rec[f"d_n_{key}"] = math.fsum(delta.tolist())
+    """Record D_n, the sum of ``delta``, and the model it selects, under ``key``."""
+    d_n = rec[f"d_n_{key}"] = _d_n(rec, delta)
     chosen = rec[f"chosen_{key}"] = _choose(d_n, config.cutoff, pair[0].identifier, pair[1].identifier)
     return chosen
 
@@ -409,7 +414,7 @@ def run_outlier_locality(config: ExperimentConfig) -> ReplicationResult:
             base, bumped = _per_step(pair, x, rule), _per_step(pair, y, rule)
             rec[f"changed_{rule}"] = [int(i) for i in np.flatnonzero(bumped != base) + 1]
             _decide(rec, rule, bumped, config, pair)
-            rec[f"abs_shift_{rule}"] = abs(rec[f"d_n_{rule}"] - math.fsum(base.tolist()))
+            rec[f"abs_shift_{rule}"] = abs(rec[f"d_n_{rule}"] - _d_n(rec, base))
 
     return _run(config, Experiment.OUTLIER_LOCALITY, fill)
 
@@ -438,7 +443,7 @@ def run_unit_change(config: ExperimentConfig) -> ReplicationResult:
             if rule == ScoreRule.LOG.value:
                 rec["log_delta_gap"] = float(np.max(np.abs(delta_c - delta) / (1.0 + np.abs(delta))))
             chosen = _decide(rec, rule, delta, config, pair)
-            d_n_c = rec[f"d_n_scaled_{rule}"] = math.fsum(delta_c.tolist())
+            d_n_c = rec[f"d_n_scaled_{rule}"] = _d_n(rec, delta_c)
             # same slot of the pair: select on the scaled D_n with the base identifiers
             agree = agree and chosen == _choose(d_n_c, config.cutoff, pair[0].identifier, pair[1].identifier)
         rec["selections_identical"] = agree
@@ -484,7 +489,7 @@ def run_multi_model(config: ExperimentConfig) -> ReplicationResult:
 
     def fill(rec, x):
         for rule in _RULE_KEYS:
-            totals = [math.fsum(row) for row in _score_matrix(candidates, x, rule)[1].tolist()]
+            totals = [_d_n(rec, row) for row in _score_matrix(candidates, x, rule)[1]]
             rec[f"totals_{rule}"] = totals
             rec[f"chosen_{rule}"] = ids[_argmin(totals)]
 

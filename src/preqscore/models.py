@@ -17,7 +17,7 @@ overflows raises :class:`NonFiniteValue`.  ``predictive_at`` is the last law
 of a pass over the history; only an AR(p) model trims the history first.
 ``predictive_rows`` gives the same laws as rows of one family: an iid model's law,
 and under hyvarinen arrays of normal laws for flatloc and Student-t for flatscale
-from their passes' running sums (under log their improper start raises).
+from the same sums by :func:`_prefix_sums` (under log their improper start raises).
 """
 
 from __future__ import annotations
@@ -97,23 +97,63 @@ def _non_finite(i: int, v: float) -> NonFiniteValue:
 
 
 def _prefix_fsums(terms):
-    """The correctly rounded sum of each prefix of ``terms`` (finite or +inf), so
-    ``math.fsum`` of it wherever fsum returns.  A finite float is a whole number of
-    units 2**-1074, so the total is one exact integer, rounded once by the division;
-    a term is read only after the sum before it is yielded.  A +inf term makes every
-    later sum inf, and a sum that overflows raises an unindexed :class:`NonFiniteValue`."""
-    total, overflowed = 0, False
+    """The correctly rounded sum of each prefix of ``terms``, so ``math.fsum`` of it
+    wherever fsum returns.  A finite float is a whole number of units 2**-1074, so the
+    total is one exact integer, rounded once by the division; a term is read only after
+    the sum before it is yielded.  From a non-finite term on, a sum is the float sum of
+    those terms, and a sum that overflows raises an unindexed :class:`NonFiniteValue`."""
+    total, special = 0, 0.0
     for v in terms:
         if math.isfinite(v):
             n, d = v.as_integer_ratio()
             total += n << (1075 - d.bit_length())
         else:
-            overflowed = True
+            special += v
         try:
-            s = math.inf if overflowed else total / (1 << 1074)
+            s = special or total / (1 << 1074)
         except OverflowError:
             raise NonFiniteValue("the running sum overflows") from None
         yield s
+
+
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """:func:`_prefix_fsums` of the float array ``x`` bit for bit, vectorised (Ogita, Rump & Oishi
+    2005): the cumsum ``s`` plus the cumsum ``E`` of its TwoSum errors rounds once to ``r``, certified
+    where the exact rest ``d + sum(e2)`` (``d`` the residual of ``r``, ``e2`` the errors of ``E``'s
+    steps), bounded as in Higham ch. 4, lies strictly within half a spacing of ``r``, or where ``E`` is
+    exact; prefixes up to the last one not certified, or all where ``s`` is not finite, are summed
+    exactly, and an overflow there is indexed by its term."""
+    n = last = x.size
+    r = np.empty(n)
+    with np.errstate(all="ignore"):
+        s = np.cumsum(x)
+        if n and math.isfinite(s[-1]):  # five arrays of n: s, e, t, big_e and r
+            e, t = np.zeros(n), np.empty(n)
+            _two_sum_error(s[:-1], x[1:], s[1:], e[1:], t[1:])  # e[0] = 0: s[0] is x[0]
+            big_e = np.cumsum(e)
+            _two_sum_error(big_e[:-1], e[1:], big_e[1:], e[1:], t[1:])  # e becomes e2
+            d = _two_sum_error(s, big_e, np.add(s, big_e, out=r), big_e, t)
+            c = np.abs(np.add(d, np.cumsum(e, out=s), out=d), out=d)  # |d + sum(e2)|, rounded
+            abs_e2 = np.cumsum(np.abs(e, out=e), out=s)
+            # 2(n + 2)u covers gamma_n on sum(e2) and the rounding of c and of the bound itself
+            bound = np.add(c, np.multiply(np.add(abs_e2, c, out=t), (n + 2) * math.ulp(1.0), out=t), out=t)
+            half = np.multiply(np.spacing(np.nextafter(np.abs(r, out=e), 0.0, out=e), out=e), 0.5, out=e)
+            uncertified = np.flatnonzero(~((bound < half) | ((abs_e2 == 0.0) & (c < math.inf))))
+            last = uncertified[-1] + 1 if uncertified.size else 0
+    exact = _prefix_fsums(x[:last].tolist())
+    for k in range(last):
+        try:
+            r[k] = next(exact)
+        except NonFiniteValue:
+            raise NonFiniteValue("the running sum overflows", index=k + 1) from None
+    return r
+
+
+def _two_sum_error(a, b, s, out, tmp):
+    """Knuth's TwoSum: the exact error (a + b) - s of ``s = a + b`` into ``out``, which may be ``b``."""
+    bb = np.subtract(s, a, out=tmp)
+    np.subtract(b, bb, out=out)
+    return np.add(np.subtract(a, np.subtract(s, bb, out=tmp), out=tmp), out, out=out)
 
 
 def _require_finite(**params: float) -> None:
@@ -161,8 +201,7 @@ class FlatPriorLocationModel(PredictiveModel):
         if rule is not ScoreRule.HYVARINEN or x.size < 2:
             return None  # under log the improper start raises at observation 1
         n = np.arange(1.0, x.size)
-        totals = np.fromiter(_prefix_fsums(x[:-1].tolist()), float, x.size - 1)
-        return 1, GaussianPredictive, SimpleNamespace(mean=totals / n, variance=self.variance * (1.0 + 1.0 / n))
+        return 1, GaussianPredictive, SimpleNamespace(mean=_prefix_sums(x[:-1]) / n, variance=self.variance * (1.0 + 1.0 / n))
 
 
 class FlatPriorScaleModel(PredictiveModel):
@@ -192,7 +231,7 @@ class FlatPriorScaleModel(PredictiveModel):
     def predictive_rows(self, x, rule):
         if rule is not ScoreRule.HYVARINEN or x.size < 2:
             return None  # under log the improper start raises at observation 1
-        ss = np.fromiter(_prefix_fsums(np.square(x[:-1] - self.mean).tolist()), float, x.size - 1)
+        ss = _prefix_sums(np.square(x[:-1] - self.mean))
         n = np.arange(1.0, x.size)  # a zero ss scores NaN, so the loop scores and raises as before
         return 1, StudentTPredictive, SimpleNamespace(center=self.mean, scale=np.sqrt(ss / n), dof=n)
 
@@ -200,7 +239,8 @@ class FlatPriorScaleModel(PredictiveModel):
         """Predictive after ``n`` observations whose squared deviations sum to ``ss``: where ``ss`` is 0
         the posterior, proportional to v^(-n/2-1), is improper, and so is this law, 1/|x - mean|^(n+1)."""
         if ss != 0.0:
-            return StudentTPredictive(center=self.mean, scale=math.sqrt(ss / n), dof=float(n))
+            # a subnormal ss whose ss / n rounds to 0 still has a positive scale
+            return StudentTPredictive(center=self.mean, scale=math.sqrt(ss / n) or math.sqrt(ss) / math.sqrt(n), dof=float(n))
         mean, k = self.mean, n + 1.0
         return DensityWithDerivatives(
             logpdf=lambda x: -k * math.log(abs(x - mean)),

@@ -22,14 +22,15 @@ hyvarinen flatloc and flatscale after step 1.  A non-finite score or any failure
 in such a row sends every row back to the loop, which raises its usual, located
 error.
 
-Cumulative sums use Neumaier's compensated summation: D_n drives decisions,
-and plain running sums can drift enough to flip a sign near the cutoff.
+D_n drives decisions, and a plain running sum can drift enough to flip its sign
+near the cutoff, so every total and running sum is correctly rounded.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import EmptyTrace, NonFiniteValue, PreqscoreError
-from .models import PredictiveModel, _check_history
+from .models import PredictiveModel, _check_history, _prefix_sums
 from .scores import ScaledRule, ScoreRule, _row_kernel, _score, as_rule
 
 __all__ = [
@@ -60,23 +61,27 @@ TRACE_CSV_COLUMNS = ("index", "x", "score_a", "score_b", "delta", "cumulative")
 
 
 def compensated_cumsum(values) -> np.ndarray:
-    """Running sums with Neumaier compensation (matches fsum prefixes to ~1 ulp).
+    """The correctly rounded sum of each prefix of ``values``, D_1..D_n: the exact sum of
+    its terms, rounded once.  A running sum that is not finite raises
+    :class:`NonFiniteValue` indexed by its term, never a NaN."""
+    v = np.asarray(values, dtype=float)
+    try:
+        sums = _prefix_sums(v)
+    except NonFiniteValue as e:  # the first exact sum that overflows has the sign of its last term
+        sums = np.append(np.zeros(e.index - 1), math.copysign(math.inf, v[e.index - 1]))
+    bad = np.flatnonzero(~np.isfinite(sums))
+    if bad.size:
+        raise NonFiniteValue(f"running sum is {float(sums[bad[0]])!r} at term {bad[0] + 1}", index=int(bad[0]) + 1)
+    return sums
 
-    Unlike plain Kahan summation this stays accurate when a term dwarfs the
-    running total, the case a large score spike produces.  An overflowing
-    total raises :class:`NonFiniteValue` indexed by its term, never a NaN.
-    The totals from 0.0, and then their rounding errors, accumulate in order,
-    so the result equals the term-by-term loop bit for bit.
-    """
-    with np.errstate(all="ignore"):
-        v = np.concatenate(([0.0], values), dtype=float)
-        totals = np.cumsum(v)
-        if not math.isfinite(totals[-1]):  # a non-finite total stays non-finite
-            i = int(np.flatnonzero(~np.isfinite(totals))[0])
-            raise NonFiniteValue(f"running sum is {float(totals[i])!r} at term {i}", index=i)
-        prev, t, v = totals[:-1], totals[1:], v[1:]
-        c = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
-        return t + np.cumsum(c)
+
+def _total(values: np.ndarray) -> float:
+    """The last of :func:`compensated_cumsum`, by ``math.fsum`` unless its partials overflow."""
+    try:
+        total = math.fsum(values.tolist())
+    except (OverflowError, ValueError):  # ValueError: inf - inf among the terms
+        total = math.nan
+    return total if math.isfinite(total) else float(compensated_cumsum(values)[-1])
 
 
 @dataclass(frozen=True)
@@ -85,11 +90,10 @@ class DeltaTrace:
 
     ``per_step[i] = S(x_i, B's predictive) - S(x_i, A's predictive)``, so
     positive entries mean A predicted better at that step.  ``cumulative``
-    holds the compensated running sums D_1..D_n.
+    holds the correctly rounded running sums D_1..D_n, computed on first read.
     """
 
     per_step: np.ndarray
-    cumulative: np.ndarray
     rule_id: ScoreRule
     scale: float
     model_a: str
@@ -101,12 +105,14 @@ class DeltaTrace:
     def __len__(self):
         return len(self.per_step)
 
-    @property
+    cumulative = functools.cached_property(lambda self: compensated_cumsum(self.per_step))
+
+    @functools.cached_property
     def final(self) -> float:
-        """D_n at the last observation."""
+        """D_n at the last observation, ``cumulative[-1]`` bit for bit."""
         if len(self.per_step) == 0:
             raise EmptyTrace("trace has no observations")
-        return float(self.cumulative[-1])
+        return _total(self.per_step)
 
 
 @dataclass(frozen=True)
@@ -198,13 +204,12 @@ def delta_trace(
 
     Non-finite or non-1-D data is rejected up front.  Scoring errors (e.g. a
     log score on an improper early predictive) are re-raised with the 1-based
-    index of the offending observation attached.
+    index of the offending observation attached, and a running sum D_i that
+    overflows raises :class:`NonFiniteValue` indexed by i.
     """
     x, (sa, sb), r = _score_matrix((model_a, model_b), data, rule)
-    per_step = sb - sa
-    return DeltaTrace(
-        per_step=per_step,
-        cumulative=compensated_cumsum(per_step),
+    trace = DeltaTrace(
+        per_step=sb - sa,
         rule_id=r.base,
         scale=r.scale,
         model_a=model_a.identifier,
@@ -213,6 +218,9 @@ def delta_trace(
         scores_a=sa,
         scores_b=sb,
     )
+    if x.size:
+        trace.final  # cached: a running sum that does not fit raises here, at its term
+    return trace
 
 
 def _choose(d_n: float, cutoff: float, id_a: str, id_b: str) -> str:
@@ -251,31 +259,18 @@ def select_among(models: Sequence[PredictiveModel], data, rule) -> str:
     totals = []
     for model, row in zip(models, scores):
         try:
-            totals.append(float(compensated_cumsum(row)[-1]))
+            totals.append(_total(row))
         except NonFiniteValue as e:
             raise _located(e, model, e.index - 1) from e
     return models[_argmin(totals)].identifier
-
-
-def _format(v: float) -> str:
-    return repr(float(v))
 
 
 def write_trace_csv(trace: DeltaTrace, fileobj) -> None:
     """Serialize a trace with the fixed column set, full float precision."""
     writer = csv.writer(fileobj, lineterminator="\n")
     writer.writerow(TRACE_CSV_COLUMNS)
-    for i in range(len(trace)):
-        writer.writerow(
-            [
-                i + 1,
-                _format(trace.data[i]),
-                _format(trace.scores_a[i]),
-                _format(trace.scores_b[i]),
-                _format(trace.per_step[i]),
-                _format(trace.cumulative[i]),
-            ]
-        )
+    columns = (trace.data, trace.scores_a, trace.scores_b, trace.per_step, trace.cumulative)
+    writer.writerows([i, *row] for i, row in enumerate(np.column_stack(columns).tolist(), start=1))
 
 
 def trace_csv_text(trace: DeltaTrace) -> str:

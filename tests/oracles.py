@@ -3,8 +3,8 @@
 Everything here deliberately avoids the closed forms implemented in the
 package: derivatives come from finite differences, normalizing constants
 from adaptive quadrature, conditional Gaussian moments from a dense
-Cholesky/Schur-complement computation, compensated running sums from a
-term-by-term loop, ARMA moments from the innovations algorithm without
+Cholesky/Schur-complement computation, running sums from exact rational
+sums, ARMA moments from the innovations algorithm without
 its steady-state shortcut, the flat-prior models' log totals from their
 marginal likelihoods, the flat-prior predictives from exact rational sums,
 a transformed model's log total from its inner model's by the change of
@@ -115,11 +115,12 @@ def flat_scale_law(history, mean):
     each rounded to a float as a product of float differences, summed in rational
     arithmetic and rounded once.  Where SS is 0, with no history in particular, the
     posterior v^(-n/2-1) is improper and so is the predictive, ImproperPower(mean, n + 1).
-    An infinite square makes SS inf; a finite SS that overflows raises ``OverflowError``."""
+    An infinite square makes SS inf; a finite SS that overflows raises ``OverflowError``.
+    A subnormal SS whose SS / n rounds to 0 has the scale sqrt(SS) / sqrt(n)."""
     squares = [(v - mean) * (v - mean) for v in map(float, history)]
     ss = math.inf if math.inf in squares else float(sum(map(Fraction, squares)))
     n = len(squares)
-    return ImproperPower(float(mean), n + 1.0) if ss == 0 else (float(mean), math.sqrt(ss / n), float(n))
+    return ImproperPower(float(mean), n + 1.0) if ss == 0 else (float(mean), math.sqrt(ss / n) or math.sqrt(ss) / math.sqrt(n), float(n))
 
 
 def normal_log_total(x, mean, variance):
@@ -188,8 +189,28 @@ def simplex_grid(n_states, step=0.1):
     return np.asarray(rows, dtype=float) / k
 
 
+def correctly_rounded_prefix_sums(values):
+    """Each prefix of ``values`` summed exactly as a ``Fraction`` and rounded once: the
+    reference for ``compensated_cumsum``.  The first running sum that is not finite
+    raises :class:`NonFiniteValue` indexed by its term."""
+    out = np.empty(len(values))
+    total = Fraction(0)
+    for i, raw in enumerate(values):
+        v = float(raw)
+        if not math.isfinite(v):
+            raise NonFiniteValue(f"running sum is {v!r} at term {i + 1}", index=i + 1)
+        total += Fraction(v)
+        try:
+            out[i] = float(total)
+        except OverflowError:
+            t = math.inf if total > 0 else -math.inf
+            raise NonFiniteValue(f"running sum is {t!r} at term {i + 1}", index=i + 1) from None
+    return out
+
+
 def compensated_cumsum_loop(values):
-    """Neumaier running sums, one term at a time: the reference for the array version.
+    """Neumaier running sums, one term at a time: the package's sum until it was made
+    correctly rounded, kept to show where compensation alone misrounds.
 
     An overflowing total raises :class:`NonFiniteValue` indexed by its term.
     """

@@ -33,8 +33,8 @@ CUBIC = cubic_plus_linear_transform()
 # kind: (the pair's model specs, the rules it scores under, calls per observation)
 KINDS = {
     "iidnorm": (("iidnorm(0,1)", "iidnorm(0,2)"), ("log", "hyvarinen"), 0),
-    "flatloc": (("flatloc(1)", "iidnorm(0,1)"), ("hyvarinen",), 4),
-    "flatscale": (("flatscale(0)", "iidnorm(0,1)"), ("hyvarinen",), 4),
+    "flatloc": (("flatloc(1)", "iidnorm(0,1)"), ("hyvarinen",), 0),
+    "flatscale": (("flatscale(0)", "iidnorm(0,1)"), ("hyvarinen",), 0),
     "ar": (("ar(0.5,0.2;1)", "iidnorm(0,1)"), ("log", "hyvarinen"), 0),
     "ma": (("ma(0.4;1)", "iidnorm(0,1)"), ("log", "hyvarinen"), 4),
     "arma": (("arma(0.5;0.4;1)", "iidnorm(0,1)"), ("log", "hyvarinen"), 4),

@@ -31,7 +31,7 @@ from preqscore import (
     pushforward_density,
     score_predictive,
 )
-from preqscore.models import PredictiveModel, StudentTPredictive, TransformedModel, _prefix_fsums
+from preqscore.models import PredictiveModel, StudentTPredictive, TransformedModel, _prefix_fsums, _prefix_sums
 
 from oracles import (
     ImproperPower,
@@ -537,6 +537,36 @@ _PROPERTY_VALUES = st.lists(_VALUES | _WIDE_VALUES, min_size=1, max_size=6).flat
 )
 
 
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_TERMS | st.sampled_from([1.0, -1.0, 2.0**-53, 2.0**-106, 1e16, -1e16, 0.3, 0.7]), max_size=60))
+@example([1e16, 1.0, -1e16, 1.0] * 10)
+@example([1e16, 0.3, -1e16, 0.7] * 10)  # no prefix is certified: all take the exact route
+@example([1.0, 2.0**-53, 1.0, 2.0**-53])  # exact midpoints
+@example([_DBL_MAX, 2.0**969, 2.0**969])
+@example([_DBL_MAX, -(2.0**970), -9e307])
+def test_array_prefix_sums_equal_the_exact_route_bit_for_bit(terms):
+    exact = []
+    try:
+        for total in _prefix_fsums(terms):
+            exact.append(total)
+    except NonFiniteValue:
+        with pytest.raises(NonFiniteValue, match="^the running sum overflows$") as info:
+            _prefix_sums(np.array(terms))
+        assert info.value.index == len(exact) + 1  # the term whose running sum overflows
+        return
+    assert [v.hex() for v in _prefix_sums(np.array(terms))] == [v.hex() for v in exact]
+
+
+def test_array_prefix_sums_are_exact_on_long_wide_rows():
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal(3000)
+    wide = x * 10.0 ** rng.uniform(-300, 300, x.size)
+    for terms in (x, np.square(x), wide, np.round(x * 100.0) * 0.5):
+        exact = np.fromiter(_prefix_fsums(terms.tolist()), float, terms.size)
+        np.testing.assert_array_equal(_prefix_sums(terms).view(np.int64), exact.view(np.int64))
+
+
 @settings(max_examples=120, deadline=None)
 @given(kind=st.sampled_from(["iidnorm(0.2,1.5)", "flatloc(0.7)"]), x=_PROPERTY_VALUES)
 @example(kind="flatloc(0.7)", x=[1e308, 1e308, 1.0])
@@ -656,6 +686,13 @@ def test_flat_location_hyvarinen_total_depends_on_the_order():
 
 def test_underflowing_squared_deviations_leave_the_scale_posterior_improper():
     _assert_improper_scale_law(0.0, [1e-200])
+
+
+def test_a_subnormal_sum_of_squares_leaves_the_scale_posterior_proper():
+    # 2.2e-162 squared rounds to the subnormal 2**-1074, and 2**-1074 / 2 rounds to 0
+    q = flat_prior_scale_model(0.0).predictive_at([2.2e-162, 0.0])
+    assert isinstance(q, StudentTPredictive) and q.dof == 2.0
+    assert math.isclose(q.scale, math.ldexp(1.0, -537) / math.sqrt(2.0), rel_tol=1e-12)  # sqrt(2**-1075)
 
 
 def test_non_finite_pull_back_is_rejected_like_a_non_finite_observation():

@@ -5,6 +5,8 @@ import io
 import itertools
 import math
 import re
+import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -55,10 +57,12 @@ from preqscore import (
     white_noise,
     write_trace_csv,
 )
+from preqscore import prequential
+from preqscore.experiments import _d_n, _decide
 from preqscore.models import IIDModel
 from preqscore.prequential import _score_matrix
 
-from oracles import compensated_cumsum_loop
+from oracles import compensated_cumsum_loop, correctly_rounded_prefix_sums
 
 A = iid_gaussian_model(0.0, 1.0)
 B = iid_gaussian_model(1.0, 1.0)
@@ -68,7 +72,6 @@ def tiny_trace(per_step, rule=ScoreRule.HYVARINEN):
     per_step = np.asarray(per_step, dtype=float)
     return DeltaTrace(
         per_step=per_step,
-        cumulative=compensated_cumsum(per_step),
         rule_id=rule,
         scale=1.0,
         model_a="A",
@@ -726,9 +729,12 @@ def test_compensated_cumsum_beats_naive_on_cancellation():
     assert out[-1] == math.fsum(values)
 
 
+DBL_MAX = sys.float_info.max
 _SUMMANDS = st.one_of(
     st.floats(min_value=-1e3, max_value=1e3),
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e12, -1e12, 1e16, -1e16, 1e308, -1e308]),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),  # subnormals and zeros
+    st.sampled_from([DBL_MAX, -DBL_MAX, 2.0**970, -(2.0**970), 2.0**-53, -(2.0**-53), 2.0**-106]),
 )
 
 
@@ -738,15 +744,81 @@ _SUMMANDS = st.one_of(
 @example([1.0, 2.5, 1e12, -3.0, 0.1])
 @example([1e16, 1.0, -1e16, 1.0] * 10)
 @example([1e308, -1.0, 1e308, 2.0])
-def test_compensated_cumsum_equals_the_loop_bit_for_bit(values):
+@example([1.0, 2.0**-53])  # an exact midpoint, rounded to even: 1.0
+@example([1.0, 2.0**-53, 2.0**-106])  # just past it: 1 + 2**-52
+@example([8.903294146569623e-155, 1.0, 1e16])
+@example([DBL_MAX, 2.0**969, 2.0**969])
+def test_compensated_cumsum_is_the_correctly_rounded_prefix_sum(values):
     try:
-        expected = compensated_cumsum_loop(values)
+        expected = correctly_rounded_prefix_sums(values)
     except NonFiniteValue as e:
         with pytest.raises(NonFiniteValue, match=f"^{re.escape(str(e))}$") as info:
             compensated_cumsum(values)
         assert info.value.index == e.index
         return
     np.testing.assert_array_equal(compensated_cumsum(values).view(np.int64), expected.view(np.int64))
+
+
+def test_the_neumaier_loop_misrounds_a_broken_tie():
+    values = [8.903294146569623e-155, 1.0, 1e16]  # 1e16 + 1 is a midpoint; the tiny term breaks the tie
+    assert compensated_cumsum_loop(values)[-1] == 1e16
+    assert compensated_cumsum(values)[-1] == math.fsum(values) == 1.0000000000000002e16
+
+
+# Two iid models whose log scores are -0.0 and x, so the per-step deltas of a trace are its data.
+ZERO = IIDModel(DensityWithDerivatives(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0), "zero")
+ECHO = IIDModel(DensityWithDerivatives(lambda x: -x, lambda x: -1.0, lambda x: 0.0), "echo")
+
+
+def _d_n_four_ways(row, monkeypatch) -> list[float]:
+    """D_n of ``row`` as a trace's final and last cumulative, select_among's total and an experiment's."""
+    trace = delta_trace(ZERO, ECHO, row, "log")
+    np.testing.assert_array_equal(trace.per_step, row)
+    totals = []
+    monkeypatch.setattr(prequential, "_argmin", lambda values: totals.extend(values) or 0)
+    select_among([ECHO, ZERO], row, "log")
+    rec = {"replicate": 0}
+    _decide(rec, "log", np.array(row), SimpleNamespace(cutoff=0.0), (ZERO, ECHO))
+    return [trace.final, float(trace.cumulative[-1]), totals[0], rec["d_n_log"]]
+
+
+@pytest.mark.parametrize(
+    "row, total",
+    [
+        ([2.000190699443628e16, 1.0601882232353402e16, 3.0041048132851084e-21], 3.0603789226789684e16),
+        ([8.903294146569623e-155, 1.0, 1e16], 1.0000000000000002e16),
+    ],
+)
+def test_a_trace_a_selection_and_an_experiment_total_d_n_alike(row, total, monkeypatch):
+    assert [v.hex() for v in _d_n_four_ways(row, monkeypatch)] == [total.hex()] * 4
+
+
+def test_every_order_of_a_sum_that_fits_totals_exactly_where_fsum_overflows(monkeypatch):
+    terms = [DBL_MAX, -(2.0**970), -9e307]
+    exact = float(sum(map(Fraction, terms)))
+    overflowed = 0
+    for order in itertools.permutations(terms):
+        try:
+            math.fsum(order)
+        except OverflowError:
+            overflowed += 1
+        assert [v.hex() for v in _d_n_four_ways(list(order), monkeypatch)] == [exact.hex()] * 4, order
+    assert overflowed == 2
+
+
+def test_a_running_sum_that_rounds_past_dbl_max_raises():
+    values = [DBL_MAX, 2.0**969, 2.0**969]  # every float running sum is DBL_MAX; the exact third is not
+    with pytest.raises(NonFiniteValue, match=r"^running sum is inf at term 3$") as info:
+        compensated_cumsum(values)
+    assert info.value.index == 3
+    with pytest.raises(NonFiniteValue, match=r"^running sum is inf at term 3$") as info:
+        delta_trace(ZERO, ECHO, values, "log")
+    assert info.value.index == 3
+    with pytest.raises(NonFiniteValue, match=r"at term 3 \(model 'echo', observation 3\)$") as info:
+        select_among([ECHO, ZERO], values, "log")
+    assert info.value.index == 3
+    with pytest.raises(NonFiniteValue, match=r"^replicate 0: a sum of score differences overflows$"):
+        _d_n({"replicate": 0}, np.array(values))
 
 
 def test_trace_csv_exact_format():

@@ -214,3 +214,38 @@ def test_other_kinds_take_predictive_at_from_their_pass():
         if name not in OWN_PREDICTIVE_AT
     ]
     assert not found, f"predictive_at defined beside the pass (let the base class take its last law): {', '.join(found)}"
+
+
+
+def _running_sums(source: str, allowed: str | None = None) -> list[int]:
+    """Lines of every ``cumsum`` or ufunc ``accumulate`` (``np.cumsum(x)``, ``x.cumsum()``,
+    ``np.add.accumulate(x)``) outside the function named ``allowed``."""
+    tree = ast.parse(source)
+    inside = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == allowed
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("cumsum", "accumulate") and node.lineno not in inside
+    )
+
+
+def test_the_running_sum_check_finds_them():
+    source = "def _prefix_sums(x):\n    return np.cumsum(x)\ndef f(x):\n    return x.cumsum() + np.add.accumulate(x)\ny = np.cumsum(x)\n"
+    assert _running_sums(source, "_prefix_sums") == [4, 4, 5]
+    assert _running_sums(source) == [2, 4, 4, 5]
+
+
+def test_every_running_sum_is_the_certified_one():
+    # models._prefix_sums certifies each prefix correctly rounded; a plain cumsum elsewhere
+    # would drift from it, and a trace, a selection and an experiment could disagree on D_n.
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _running_sums(path.read_text(), "_prefix_sums" if path.name == "models.py" else None)
+    ]
+    assert not found, f"running sums outside models._prefix_sums: {', '.join(found)}"
