@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .densities import MonotoneTransform, cubic_plus_linear_transform, pushforward_density
-from .errors import IndexOutOfRange, NonFiniteValue, NonPositiveScale
+from .errors import EmptyTrace, IndexOutOfRange, NonFiniteValue, NonPositiveScale
 from .models import IIDModel, PredictiveModel, iid_gaussian_model
 from .prequential import TIE, DeltaTrace, _argmin, _choose, _score_matrix, _total, delta_trace
 from .scores import ScoreRule
@@ -110,10 +110,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.experiment, Experiment):
             object.__setattr__(self, "experiment", Experiment(self.experiment))
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        if not (isinstance(self.replicates, int) and self.replicates >= 1):
-            raise ValueError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        for name in ("n", "replicates", "outlier_index"):  # a bool is an int, but no count or index
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1 and name != "outlier_index":  # the outlier index is checked against n where it is used
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         seed = operator.index(self.base_seed) if hasattr(self.base_seed, "__index__") else -1  # a Python int
         if not 0 <= seed < 2**64:
             raise ValueError(f"base_seed must be an integer in [0, 2**64), got {self.base_seed!r}")
@@ -304,7 +306,7 @@ def replicate_data(config: ExperimentConfig, r: int) -> np.ndarray:
 
 def _inject_outlier(config: ExperimentConfig, x: np.ndarray) -> tuple[np.ndarray, float]:
     k = config.outlier_index
-    if not (isinstance(k, int) and 1 <= k < x.size):
+    if not 1 <= k < x.size:
         raise IndexOutOfRange(f"outlier index must satisfy 1 <= k < n={x.size}, got {k!r}")
     mag = _resolved_outlier_magnitude(config)
     y = x.copy()
@@ -500,8 +502,10 @@ def run_multi_model(config: ExperimentConfig) -> ReplicationResult:
 
 
 def aggregates_for(config: ExperimentConfig, records: Sequence[dict]) -> dict:
-    """Order-independent summary; records may be passed in any order."""
+    """Order-independent summary; records may be passed in any order, but not none."""
     e = config.experiment
+    if not records:
+        raise EmptyTrace(f"no replicate records to aggregate for {e.value!r}")
     agg: dict = {"replicates": len(records)}
     if e is Experiment.VARIANCE_EXPECTATION:
         agg["theory_log"] = expected_log_delta(config.xi)
@@ -546,7 +550,7 @@ def aggregates_for(config: ExperimentConfig, records: Sequence[dict]) -> dict:
         agg["max_log_delta_gap"] = _max_key(records, "log_delta_gap")
         agg["selections_identical_frequency"] = _selection_frequency(records, "selections_identical", True)
     elif e is Experiment.REPARAMETRISATION:
-        agg["transform"] = records[0]["transform"] if records else "cubic-plus-linear"
+        agg["transform"] = records[0]["transform"]
         agg["max_log_delta_gap"] = _max_key(records, "log_delta_gap")
         agg["min_hyvarinen_divergence"] = _min_key(records, "hyvarinen_divergence")
     elif e is Experiment.MULTI_MODEL:

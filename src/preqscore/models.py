@@ -14,7 +14,7 @@ model keeps the pulled-back series, an O(n) array.  A pass adds the history
 exactly and rounds each sufficient statistic once, so every permutation of
 an exchangeable history yields bit-identical predictives; a total that
 overflows raises :class:`NonFiniteValue`.  ``predictive_at`` is the last law
-of a pass over the history; only an AR(p) model trims the history first.
+of a pass over the history, for every kind.
 ``predictive_rows`` gives the same laws as rows of one family: an iid model's law,
 and under hyvarinen arrays of normal laws for flatloc and Student-t for flatscale
 from the same sums by :func:`_prefix_sums` (under log their improper start raises).
@@ -189,6 +189,8 @@ class FlatPriorLocationModel(PredictiveModel):
         _require_finite(variance=variance)
         if not variance > 0:
             raise NonPositiveVariance(f"variance must be positive, got {variance}")
+        if not 2.0 * variance < math.inf:  # v (1 + 1/n) at n = 1, the largest predictive variance
+            raise NonFiniteValue(f"variance {float(variance)!r} overflows the predictive variance 2 * variance")
         self.variance = float(variance)
         self.identifier = identifier or f"flatloc({self.variance})"
 

@@ -13,14 +13,14 @@ model raises at the offending observation.
 
 Every score row, for traces, selections and the experiment runners, comes
 from one fold: a loop over each model's predictives pass, scoring each with
-the one scalar scorer that decides how any predictive meets a rule, and ahead
+the one checked scorer that decides how any predictive meets a rule, and ahead
 of it the same kernels on whole rows of one family, bit for bit equal: an iid
 model's one law from step 1 (an observation at a time for a law with no array
 kernel, such as a pushforward density), MA, ARMA and user-autocovariance
 processes from step 1 (the moments of one pass), AR(p) after step p, and under
 hyvarinen flatloc and flatscale after step 1.  A non-finite score or any failure
-in such a row sends every row back to the loop, which raises its usual, located
-error.
+in a model's row sends that model alone back to the loop, which raises its usual,
+located error; the other models keep their rows.
 
 D_n drives decisions, and a plain running sum can drift enough to flip its sign
 near the cutoff, so every total and running sum is correctly rounded.
@@ -131,9 +131,9 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
     the coerced rule; a rule that scores no density raises ``ValueError``, whatever
     the data.  Row tails filled by :func:`_array_rows` are skipped; the scalar loop
     scores the rest from one ``predictives`` pass per model, visiting observations
-    in order and, at each one, the models in list order.  A ``PreqscoreError``, ``ValueError`` or ``TypeError`` keeps its class and is
-    re-raised with the model and the 1-based index of the observation; an
-    arithmetic failure or non-finite score becomes :class:`NonFiniteValue`.
+    in order and, at each one, the models in list order, with the checked scorer ``_score``.
+    A ``PreqscoreError`` (:class:`NonFiniteValue` included), ``ValueError`` or ``TypeError``
+    keeps its class and is re-raised with the model and the 1-based observation index.
     """
     r = as_rule(rule)
     if r.base is not ScoreRule.LOG and r.base is not ScoreRule.HYVARINEN:
@@ -148,14 +148,9 @@ def _score_matrix(models: Sequence[PredictiveModel], data, rule) -> tuple[np.nda
             if i >= ends[m]:
                 continue
             try:
-                value = r.scale * _score(xi, next(folds[m]), r.base)
-                if not math.isfinite(value):
-                    raise NonFiniteValue(f"score is {value!r}")
-            except ArithmeticError as e:
-                raise _located(NonFiniteValue(f"score is not finite: {e!r}"), model, i) from e
+                scores[m, i] = _score(xi, next(folds[m]), r)
             except (PreqscoreError, ValueError, TypeError) as e:
                 raise _located(e, model, i) from e
-            scores[m, i] = value
     return x, scores, r
 
 
@@ -168,20 +163,21 @@ def _array_rows(models: Sequence[PredictiveModel], x: np.ndarray, r: ScaledRule,
     at a time.
 
     Returns, per model, the number of leading observations left to the scalar
-    loop; all of them for every model after a non-finite score or any failure.
+    loop; all of them for a model whose row raises or scores a non-finite value.
     """
     ends = [x.size] * len(models)
-    try:
-        with np.errstate(all="ignore"):
-            for m, model in enumerate(models):
+    with np.errstate(all="ignore"):
+        for m, model in enumerate(models):
+            try:
                 rows = model.predictive_rows(x, r.base)
                 if rows is not None:
                     k, family, laws = rows
-                    np.multiply(r.scale, _row_kernel(family, r.base)(x[k:], laws), out=scores[m, k:])
-                    ends[m] = k
-    except Exception:  # a row may run user code (an autocovariance, a density); the loop re-raises in order
-        return [x.size] * len(models)
-    return ends if np.isfinite(scores).all() else [x.size] * len(models)
+                    row = np.multiply(r.scale, _row_kernel(family, r.base)(x[k:], laws), out=scores[m, k:])
+                    if np.isfinite(row).all():
+                        ends[m] = k
+            except Exception:  # a row may run user code (an autocovariance, a density); the loop re-raises in order
+                pass
+    return ends
 
 
 def _located(e: Exception, model: PredictiveModel, i: int) -> Exception:

@@ -242,16 +242,22 @@ def _row_kernel(family: type, base: ScoreRule):
     return lambda x, law: np.fromiter(map(by_density, x.tolist(), itertools.repeat(_density(law))), float, x.size)
 
 
-def _score(x: float, predictive, base: ScoreRule) -> float:
-    """Unscaled score of ``x``: the one place that decides how a predictive meets a rule.
-
-    A family in ``_KERNELS``, picked by type, takes its kernels; any other predictive,
-    the improper ones included, the log-derivatives of its ``.density()``.  The rule
+def _score(x: float, predictive, r: ScaledRule) -> float:
+    """Score of ``x`` under the scaled rule ``r``: the one place that decides how a predictive meets
+    a rule, and that raises :class:`~preqscore.errors.NonFiniteValue` for a non-finite score or an
+    arithmetic failure.  A family in ``_KERNELS``, picked by type, takes its kernels; any other
+    predictive, the improper ones included, the log-derivatives of its ``.density()``.  The rule
     is picked by identity, so no enum is hashed."""
-    if base is not _LOG and base is not _HYVARINEN:
-        raise ValueError(f"rule {base.value} is not defined for predictive densities")
+    if r.base is not _LOG and r.base is not _HYVARINEN:
+        raise ValueError(f"rule {r.base.value} is not defined for predictive densities")
     log_kernel, hyvarinen_kernel = _KERNELS.get(type(predictive), _BY_DENSITY)
-    return (hyvarinen_kernel if base is _HYVARINEN else log_kernel)(x, predictive)
+    try:
+        value = r.scale * (hyvarinen_kernel if r.base is _HYVARINEN else log_kernel)(x, predictive)
+    except ArithmeticError as e:
+        raise NonFiniteValue(f"score is not finite: {e!r}") from e
+    if not math.isfinite(value):
+        raise NonFiniteValue(f"score is {value!r}")
+    return value
 
 
 def score_predictive(x: float, predictive, rule) -> ScoreValue:
@@ -259,17 +265,10 @@ def score_predictive(x: float, predictive, rule) -> ScoreValue:
 
     A :class:`GaussianPredictive` or :class:`StudentTPredictive` is scored with
     its closed formulas; every other predictive is scored from the declared log-derivatives of its
-    ``.density()`` (see :func:`_score`).  A non-finite score or an arithmetic failure raises
-    :class:`~preqscore.errors.NonFiniteValue`, as in the prequential fold.
+    ``.density()`` (see :func:`_score`, which the prequential fold also calls).
     """
     r = as_rule(rule)
-    try:
-        value = r.scale * _score(x, predictive, r.base)
-    except ArithmeticError as e:
-        raise NonFiniteValue(f"score is not finite: {e!r}") from e
-    if not math.isfinite(value):
-        raise NonFiniteValue(f"score is {value!r}")
-    return ScoreValue(value, r.base, r.scale)
+    return ScoreValue(_score(x, predictive, r), r.base, r.scale)
 
 
 # ---------------------------------------------------------------------------

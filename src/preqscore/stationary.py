@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import NonFiniteValue, NonPositiveVariance, NonStationary, NotPositiveDefinite
-from .models import PredictiveModel, _check_history, _require_finite
+from .models import PredictiveModel, _require_finite
 from .scores import GaussianPredictive
 from .streams import stream
 
@@ -239,6 +239,8 @@ def sample_path(spec: StationaryProcessSpec, n: int, seed: int, substream: int =
     x_i = predictive mean + sqrt(predictive variance) * z_i, with the z_i
     read from the counter-based stream keyed by ``(seed, substream)``.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     z = stream(seed, substream).standard_normal(n).tolist()
     x = np.empty(n)
     for i, (mean, variance) in zip(range(n), _moments(spec, x)):
@@ -337,13 +339,6 @@ class StationaryProcessModel(PredictiveModel):
 
     def predictives(self, x):
         return itertools.starmap(GaussianPredictive, _moments(self.spec, x))
-
-    def predictive_at(self, history) -> GaussianPredictive:
-        h = _check_history(history)
-        arma = self.spec.arma
-        if arma is not None and not arma[1]:  # an AR(p) predictive depends on the last p values alone
-            h = h[max(h.size - len(arma[0]), 0) :]
-        return super().predictive_at(h)
 
     def predictive_rows(self, x, rule):
         arma, n = self.spec.arma, x.size

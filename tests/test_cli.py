@@ -318,6 +318,17 @@ def test_trace_flat_prior_under_gradient_rule(tmp_path):
     assert rows[1][2] == "0.0"  # first flat-prior summand is exactly zero
 
 
+def test_trace_refuses_a_flatloc_variance_that_overflows(tmp_path, capsys):
+    data = write_data(tmp_path / "d.csv", [1.0, 2.0, 3.0])
+    code = run_cli(
+        "trace", "--model-a", "flatloc(1e308)", "--model-b", "iidnorm(0,1)",
+        "--rule", "hyvarinen", "--data", str(data), "--out", str(tmp_path / "tr"),
+    )
+    assert code == 2
+    assert "error: variance 1e+308 overflows the predictive variance 2 * variance" in capsys.readouterr().err
+    assert not (tmp_path / "tr").exists()
+
+
 def test_trace_log_rule_on_flat_prior_is_a_config_error(tmp_path, capsys):
     data = write_data(tmp_path / "d.csv", [0.4, 1.2])
     code = run_cli(

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from preqscore import (
+    EmptyTrace,
     Experiment,
     ExperimentConfig,
     IndexOutOfRange,
@@ -79,6 +80,12 @@ def test_config_accepts_experiment_names():
         dict(unit_scale=1e-200),
         dict(outlier_magnitude=math.nan),
         dict(outlier_magnitude=math.inf),
+        dict(outlier_index=20.0),
+        dict(outlier_index=True),
+        dict(n=True),
+        dict(n=60.0),
+        dict(replicates=True),
+        dict(replicates=2.0),
     ],
 )
 def test_config_validation(kw):
@@ -225,6 +232,12 @@ def test_an_overflowing_d_n_names_its_replicate(runner, name):
     with pytest.raises(NonFiniteValue, match=r"^replicate 0: a sum of score differences overflows$") as info:
         runner(config)
     assert info.value.index is None
+
+
+@pytest.mark.parametrize("experiment", list(Experiment))
+def test_aggregating_no_records_is_a_named_error(experiment):
+    with pytest.raises(EmptyTrace, match=f"^no replicate records to aggregate for '{experiment.value}'$"):
+        aggregates_for(cfg(experiment), [])
 
 
 def test_aggregates_are_order_independent():

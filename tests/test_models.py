@@ -30,6 +30,7 @@ from preqscore import (
     iid_gaussian_model,
     pushforward_density,
     score_predictive,
+    select_among,
 )
 from preqscore.models import PredictiveModel, StudentTPredictive, TransformedModel, _prefix_fsums, _prefix_sums
 
@@ -95,6 +96,24 @@ def test_non_finite_parameters_are_rejected_when_built(build, name):
 def test_non_positive_variances_are_rejected_when_built(build):
     with pytest.raises(NonPositiveVariance, match="^variance must be positive"):
         build()
+
+
+_HALF_MAX = sys.float_info.max / 2  # 2 * v overflows for every v above it
+
+
+@pytest.mark.parametrize("variance", [1e308, math.nextafter(_HALF_MAX, math.inf), sys.float_info.max])
+def test_flatloc_rejects_a_variance_whose_predictive_variance_overflows(variance):
+    # v (1 + 1/1) at observation 2 would be inf: the pass refuses it, so the model is not built.
+    with pytest.raises(NonFiniteValue, match=r"^variance \S+ overflows the predictive variance 2 \* variance$"):
+        flat_prior_location_model(variance)
+
+
+@pytest.mark.parametrize("variance", [8.98e307, _HALF_MAX])
+def test_flatloc_with_the_largest_variances_scores_alike_on_every_route(variance):
+    model, x = flat_prior_location_model(variance), np.array([1.0, 2.0, 3.0])
+    want = [score_predictive(v, model.predictive_at(x[:i]), "hyvarinen").value for i, v in enumerate(x.tolist())]
+    assert delta_trace(model, iid_gaussian_model(0.0, 1.0), x, "hyvarinen").scores_a.tolist() == want
+    assert select_among([iid_gaussian_model(0.0, 1.0), model], x, "hyvarinen") == model.identifier
 
 
 def test_history_validation():

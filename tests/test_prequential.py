@@ -310,6 +310,35 @@ def test_a_process_pass_failure_is_located_in_the_scalar_visiting_order():
         select_among([raising, A], [0.5, 1.0, 2.0], "log")
 
 
+class _LastValue(PredictiveModel):
+    """N(previous observation, 1), scored by the loop: its rows raise, or score NaN."""
+
+    def __init__(self, rows):
+        self.rows, self.identifier = rows, f"last-value-{rows}"
+
+    def predictives(self, x):
+        return (GaussianPredictive(float(x[i - 1]) if i else 0.0, 1.0) for i in range(x.size + 1))
+
+    def predictive_rows(self, x, rule):
+        if self.rows == "raise":
+            raise RuntimeError("no rows for this model")
+        return 0, GaussianPredictive, SimpleNamespace(mean=np.full(x.size, math.nan), variance=1.0)
+
+
+@pytest.mark.parametrize("rows", ["raise", "nan"])
+@pytest.mark.parametrize("rule", ["log", "hyvarinen"])
+def test_a_failed_row_sends_only_its_own_model_to_the_loop(monkeypatch, rows, rule):
+    # The iid model beside a model whose row fails keeps its row: its patched pass is never read.
+    user, iid = _LastValue(rows), iid_gaussian_model(0.3, 2.0)
+    x = 0.2 + 1.3 * stream(7, 0).standard_normal(40)
+    want = _scalar_rows([user, iid], x, rule)
+    monkeypatch.setattr(IIDModel, "predictives", _no_items)
+    trace = delta_trace(user, iid, x, rule)
+    assert [trace.scores_a.tolist(), trace.scores_b.tolist()] == want
+    chosen = user if math.fsum(want[0]) <= math.fsum(want[1]) else iid
+    assert select_among([user, iid], x, rule) == chosen.identifier
+
+
 def _first_item_only(pass_):
     """A ``predictives`` that yields its pass's first item and then fails."""
 

@@ -186,8 +186,8 @@ def test_student_t_kernels_equal_the_density_route_bitwise(rule):
     x = np.linspace(-40.0, 40.0, 300)
     for scale, dof in [(0.05, 1.0), (1.0, 3.0), (2.7, 17.0), (1e3, 2000.0)]:
         t = StudentTPredictive(0.3, scale, dof)
-        closed = [_score(v, t, rule) for v in x.tolist()]
-        assert closed == [_score(v, t.density(), rule) for v in x.tolist()]
+        closed = [_score(v, t, as_rule(rule)) for v in x.tolist()]
+        assert closed == [_score(v, t.density(), as_rule(rule)) for v in x.tolist()]
         if rule is ScoreRule.HYVARINEN:
             row = _student_t_hyvarinen_score(x, SimpleNamespace(center=0.3, scale=np.full(x.size, scale), dof=np.full(x.size, dof)))
             assert row.tolist() == closed
@@ -253,7 +253,7 @@ def test_score_predictive_raises_where_the_score_is_not_finite(x, predictive, ru
 )
 def test_one_scorer_decides_every_error(predictive, rule, error):
     with pytest.raises(error):
-        _score(0.4, predictive, rule)
+        _score(0.4, predictive, as_rule(rule))
     with pytest.raises(error):
         score_predictive(0.4, predictive, rule)
 

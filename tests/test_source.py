@@ -201,9 +201,9 @@ def test_models_add_up_a_history_one_way():
     assert not found, f"math.fsum called in models.py at lines {found}"
 
 
-# The kinds whose predictive_at is not the last law of their own pass over the whole
-# history: an AR(p) predictive_at trims the history to its last p values before the pass.
-OWN_PREDICTIVE_AT = {"PredictiveModel", "StationaryProcessModel"}
+# The one class that defines predictive_at, as the last law of a pass over the whole
+# history; every kind takes it from there, so no kind's predictive_at strays from its pass.
+OWN_PREDICTIVE_AT = {"PredictiveModel"}
 
 
 def test_other_kinds_take_predictive_at_from_their_pass():
@@ -249,3 +249,34 @@ def test_every_running_sum_is_the_certified_one():
         for line in _running_sums(path.read_text(), "_prefix_sums" if path.name == "models.py" else None)
     ]
     assert not found, f"running sums outside models._prefix_sums: {', '.join(found)}"
+
+
+def _arithmetic_handlers(source: str) -> list[tuple[int, str]]:
+    """(line, innermost enclosing function or "" at module level) of every ``except`` clause
+    that catches ``ArithmeticError``, alone or in a tuple."""
+    tree = ast.parse(source)
+    functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            if any(isinstance(t, ast.Name) and t.id == "ArithmeticError" for t in ast.walk(node.type)):
+                around = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((node.lineno, max(around, key=lambda f: f.lineno).name if around else ""))
+    return sorted(found)
+
+
+def test_the_handler_check_finds_arithmetic_handlers():
+    source = (
+        "def _score(x):\n    try:\n        f(x)\n    except ArithmeticError:\n        pass\n"
+        "def fold(x):\n    def step():\n        try:\n            f(x)\n        except (ValueError, ArithmeticError) as e:\n"
+        "            raise\n    try:\n        f(x)\n    except OverflowError:\n        pass\n"
+        "try:\n    f(1)\nexcept ArithmeticError:\n    pass\n"
+    )
+    assert _arithmetic_handlers(source) == [(4, "_score"), (10, "step"), (18, "")]
+
+
+def test_one_scorer_turns_arithmetic_failures_into_errors():
+    # scores._score raises NonFiniteValue for an arithmetic failure on every route; a second
+    # handler, in the fold or a runner, would be a second checked scorer free to drift from it.
+    found = [(path.name, name) for path in sorted(SRC.glob("*.py")) for _, name in _arithmetic_handlers(path.read_text())]
+    assert found == [("scores.py", "_score")], f"ArithmeticError handlers outside scores._score: {found}"

@@ -152,6 +152,12 @@ def test_durbin_levinson_input_validation():
         white_noise(1.0).gamma(-1)
 
 
+def test_sample_path_length_validation():
+    with pytest.raises(ValueError, match=r"^n must be >= 0, got -1$"):
+        sample_path(ar_process([0.5], 1.0), -1, 0)
+    assert sample_path(ar_process([0.5], 1.0), 0, 0).shape == (0,)
+
+
 def test_process_validation():
     with pytest.raises(NonStationary):
         ar_process([1.0], 1.0)
